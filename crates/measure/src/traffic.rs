@@ -16,14 +16,15 @@ use spacecdn_core::traffic::{
     run_traffic_multishell, PolicyKind, TrafficConfig, TrafficReport, TrafficSource,
 };
 use spacecdn_des::Percentiles;
+use spacecdn_engine::par_map;
 use spacecdn_geo::{Latency, SimDuration, SimTime};
 use spacecdn_lsn::{AccessModel, FaultSchedule};
 use spacecdn_orbit::{Constellation, MultiConstellation};
 use spacecdn_telemetry::LazyCounter;
 use spacecdn_terra::cdn::{anycast_select, cdn_sites};
-use spacecdn_terra::city::cities;
+use spacecdn_terra::city::{cities, City};
 use spacecdn_terra::fiber::FiberModel;
-use spacecdn_terra::starlink::{covered_countries, home_pop};
+use spacecdn_terra::starlink::{covered_countries, home_pop, StarlinkPop};
 
 /// Campaign points produced (stable: fixed by the sweep parameters).
 static TRAFFIC_POINTS: LazyCounter = LazyCounter::stable("measure.traffic.points");
@@ -119,6 +120,14 @@ pub fn covered_traffic_sources(
 /// `start` instead of [`SimTime::EPOCH`] — the fallback table for a
 /// traffic burst whose `TrafficConfig::start` carries a long-lived
 /// session's running clock.
+///
+/// The table is built one epoch per [`par_map`] task: each task takes
+/// its epoch's snapshot, evaluates every covered city against it and
+/// drops it, so at most one snapshot per worker is alive at a time. The
+/// PoP→CDN anycast leg depends only on the home PoP, so it is computed
+/// once per distinct PoP up front. Every task's arithmetic is the same
+/// whatever the schedule of tasks, so the table is bit-identical at any
+/// thread count.
 pub fn covered_traffic_sources_from(
     net: &LsnNetwork,
     schedule: &FaultSchedule,
@@ -128,42 +137,55 @@ pub fn covered_traffic_sources_from(
 ) -> Vec<TrafficSource> {
     let covered = covered_countries();
     let sites = cdn_sites();
+    // Every covered city with the index of its home PoP in `pops`.
+    let mut pops: Vec<StarlinkPop> = Vec::new();
+    let homed: Vec<(&City, usize)> = cities()
+        .iter()
+        .filter(|city| covered.contains(&city.cc))
+        .map(|city| {
+            let pop = home_pop(city.cc, city.position());
+            let k = pops.iter().position(|&p| p == pop).unwrap_or_else(|| {
+                pops.push(pop);
+                pops.len() - 1
+            });
+            (city, k)
+        })
+        .collect();
+    let pop_to_site: Vec<Latency> = pops
+        .iter()
+        .map(|pop| {
+            anycast_select(pop.position(), pop.city.region, &sites, net.fiber())
+                .expect("sites non-empty")
+                .1
+        })
+        .collect();
+
     let epoch_times: Vec<SimTime> = (0..epochs)
         .map(|e| start + epoch_step.mul(e as u64))
         .collect();
-    let snapshots: Vec<_> = epoch_times
-        .iter()
-        .map(|&t| net.snapshot(t, &schedule.plan_at(t)))
-        .collect();
-
-    let mut sources = Vec::new();
-    for city in cities() {
-        if !covered.contains(&city.cc) {
-            continue;
-        }
-        let pop = home_pop(city.cc, city.position());
-        let fallback_rtt: Vec<Latency> = snapshots
+    let columns: Vec<Vec<Latency>> = par_map(&epoch_times, |_, &t| {
+        let snap = net.snapshot(t, &schedule.plan_at(t));
+        homed
             .iter()
-            .map(|snap| {
-                snap.starlink_rtt_to_pop(city.position(), &pop, None)
-                    .map(|p| {
-                        let (_, pop_to_site) =
-                            anycast_select(pop.position(), pop.city.region, &sites, net.fiber())
-                                .expect("sites non-empty");
-                        p.rtt + pop_to_site
-                    })
+            .map(|&(city, k)| {
+                snap.starlink_rtt_to_pop(city.position(), &pops[k], None)
+                    .map(|p| p.rtt + pop_to_site[k])
                     .unwrap_or(Latency::from_ms(300.0))
             })
-            .collect();
-        sources.push(TrafficSource {
+            .collect()
+    });
+
+    homed
+        .iter()
+        .enumerate()
+        .map(|(i, &(city, _))| TrafficSource {
             position: city.position(),
             // One weight unit per ~2M people, at least one — the same
             // bucketing the fig7/fig8 city sampler uses.
             weight: (city.population_k / 2000).max(1),
-            fallback_rtt,
-        });
-    }
-    sources
+            fallback_rtt: columns.iter().map(|column| column[i]).collect(),
+        })
+        .collect()
 }
 
 /// One retrieval scenario per requested Starlink 2024 shell, all under

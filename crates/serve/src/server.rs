@@ -22,7 +22,7 @@ use spacecdn_core::placement::PlacementSpec;
 use spacecdn_core::retrieval::RetrievalSource;
 use spacecdn_core::traffic::PolicyKind;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,6 +31,11 @@ use std::time::Duration;
 
 /// How often blocked accept/read loops wake to poll the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest request line a connection accepts, newline excluded. Even a
+/// `fault` listing all 4,236 satellites of the 2024 fleet is ~21 KiB; a
+/// longer line gets an error response and the connection is closed.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -140,23 +145,36 @@ fn serve_connection(stream: TcpStream, state: Arc<State>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // One request line, accumulated across read timeouts: a fragment that
+    // arrives before a poll wake-up stays here until its newline does.
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
+        // Read at most one byte past the cap, so an oversize line is
+        // detected without buffering the rest of it.
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
+            Ok(n) => {
+                if line.last() != Some(&b'\n') {
+                    if line.len() > MAX_LINE_BYTES {
+                        let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                        let _ = write_line(&mut writer, &err_response(&msg));
+                        return;
+                    }
+                    if n == 0 {
+                        return; // client closed
+                    }
+                    continue; // client closed mid-line; the next read sees EOF
                 }
-                let response = dispatch(line.trim(), &state);
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
+                let response = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => None,
+                    Ok(text) => Some(dispatch(text.trim(), &state)),
+                    Err(_) => Some(err_response("request line is not valid UTF-8")),
+                };
+                line.clear();
+                if let Some(response) = response {
+                    if write_line(&mut writer, &response).is_err() {
+                        return;
+                    }
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -167,6 +185,13 @@ fn serve_connection(stream: TcpStream, state: Arc<State>) {
             Err(_) => return,
         }
     }
+}
+
+/// Write one response line and flush it.
+fn write_line(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
+    writer.write_all(response.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 fn err_response(msg: &str) -> String {

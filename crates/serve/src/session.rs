@@ -368,7 +368,7 @@ impl Session {
         let p50 = self.traffic.latencies.quantile(0.50).unwrap_or(0.0);
         let p90 = self.traffic.latencies.quantile(0.90).unwrap_or(0.0);
         let p99 = self.traffic.latencies.quantile(0.99).unwrap_or(0.0);
-        let t = self.traffic.clone();
+        let t = &self.traffic;
         format!(
             concat!(
                 r#"{{"session":{},"seed":{},"clock_ns":{},"bursts":{},"mutations":{},"#,

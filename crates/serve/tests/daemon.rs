@@ -3,7 +3,7 @@
 //! session journal reproduces the live `report` response byte-for-byte
 //! at every worker thread count.
 
-use spacecdn_serve::server::{Daemon, ServeConfig};
+use spacecdn_serve::server::{Daemon, ServeConfig, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -73,10 +73,19 @@ impl Client {
 
     /// One request line out, one response line back.
     fn send(&mut self, line: &str) -> String {
+        self.write_raw(format!("{line}\n").as_bytes());
+        self.response()
+    }
+
+    /// Put raw bytes on the wire, flushed as one segment.
+    fn write_raw(&mut self, bytes: &[u8]) {
         let stream = self.reader.get_mut();
-        stream
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("write");
+        stream.write_all(bytes).expect("write");
+        stream.flush().expect("flush");
+    }
+
+    /// The next response line.
+    fn response(&mut self) -> String {
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("read");
         assert!(
@@ -258,5 +267,54 @@ fn protocol_errors_do_not_wedge_the_connection() {
     // Dropping frees the name for reuse.
     c.ok("{\"op\":\"drop\",\"session\":\"ok1\"}");
     c.ok("{\"op\":\"create\",\"session\":\"ok1\",\"catalog\":200,\"streams\":2}");
+    daemon.shutdown();
+}
+
+#[test]
+fn request_lines_split_across_read_timeouts_are_reassembled() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("split");
+    // The gap outlasts the server's 50 ms read poll several times over.
+    let gap = std::time::Duration::from_millis(200);
+    let mut c = daemon.client();
+
+    c.write_raw(b"{\"op\":\"pi");
+    std::thread::sleep(gap);
+    c.write_raw(b"ng\"}\n");
+    assert_eq!(c.response(), "{\"ok\":true,\"pong\":true}");
+
+    // A two-byte character cut between its bytes decodes once whole: the
+    // error echoes the session name intact.
+    let line = "{\"op\":\"drop\",\"session\":\"caf\u{e9}\"}\n".as_bytes();
+    let cut = line.iter().position(|&b| b == 0xC3).expect("lead byte") + 1;
+    c.write_raw(&line[..cut]);
+    std::thread::sleep(gap);
+    c.write_raw(&line[cut..]);
+    let resp = c.response();
+    assert!(
+        resp.starts_with("{\"ok\":false") && resp.contains("no session \\\"caf\u{e9}\\\""),
+        "{resp}"
+    );
+    c.ok("{\"op\":\"ping\"}");
+
+    // One byte past the cap: an error response, then the server closes.
+    let mut big = daemon.client();
+    big.write_raw(&vec![b'x'; MAX_LINE_BYTES + 1]);
+    let resp = big.response();
+    assert!(
+        resp.starts_with("{\"ok\":false") && resp.contains("exceeds"),
+        "{resp}"
+    );
+    let mut rest = String::new();
+    assert_eq!(big.reader.read_line(&mut rest).expect("read"), 0, "{rest}");
+
+    // A line exactly at the cap is still parsed (and rejected as JSON).
+    let mut edge = daemon.client();
+    let mut at_cap = vec![b' '; MAX_LINE_BYTES];
+    at_cap[0] = b'x';
+    at_cap.push(b'\n');
+    edge.write_raw(&at_cap);
+    assert!(edge.response().contains("bad json"));
+    edge.ok("{\"op\":\"ping\"}");
     daemon.shutdown();
 }

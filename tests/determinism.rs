@@ -529,3 +529,158 @@ fn nearest_alive_spatial_matches_linear_on_faulted_graph() {
     }
     set_routing_cache_override(None);
 }
+
+/// The covered-city fallback table built the straightforward way: every
+/// snapshot first, then one sequential city × epoch loop that re-runs
+/// anycast selection per cell. The reference the epoch-parallel build
+/// must match bit for bit.
+fn naive_covered_traffic_sources(
+    net: &spacecdn_suite::prelude::LsnNetwork,
+    schedule: &FaultSchedule,
+    start: SimTime,
+    epochs: usize,
+    epoch_step: spacecdn_suite::geo::SimDuration,
+) -> Vec<spacecdn_suite::prelude::TrafficSource> {
+    use spacecdn_suite::geo::Latency;
+    use spacecdn_suite::prelude::TrafficSource;
+    use spacecdn_suite::terra::cdn::{anycast_select, cdn_sites};
+    use spacecdn_suite::terra::city::cities;
+    use spacecdn_suite::terra::starlink::{covered_countries, home_pop};
+
+    let covered = covered_countries();
+    let sites = cdn_sites();
+    let snapshots: Vec<_> = (0..epochs)
+        .map(|e| start + epoch_step.mul(e as u64))
+        .map(|t| net.snapshot(t, &schedule.plan_at(t)))
+        .collect();
+    let mut sources = Vec::new();
+    for city in cities() {
+        if !covered.contains(&city.cc) {
+            continue;
+        }
+        let pop = home_pop(city.cc, city.position());
+        let fallback_rtt: Vec<Latency> = snapshots
+            .iter()
+            .map(|snap| {
+                snap.starlink_rtt_to_pop(city.position(), &pop, None)
+                    .map(|p| {
+                        let (_, pop_to_site) =
+                            anycast_select(pop.position(), pop.city.region, &sites, net.fiber())
+                                .expect("sites non-empty");
+                        p.rtt + pop_to_site
+                    })
+                    .unwrap_or(Latency::from_ms(300.0))
+            })
+            .collect();
+        sources.push(TrafficSource {
+            position: city.position(),
+            weight: (city.population_k / 2000).max(1),
+            fallback_rtt,
+        });
+    }
+    sources
+}
+
+/// Every field of a source table, floats as raw bits.
+fn sources_fingerprint(sources: &[spacecdn_suite::prelude::TrafficSource]) -> Vec<String> {
+    sources
+        .iter()
+        .map(|s| {
+            let rtts: Vec<u64> = s.fallback_rtt.iter().map(|r| r.ms().to_bits()).collect();
+            format!(
+                "lat={:x};lon={:x};alt={:x};w={};rtt={rtts:x?}",
+                s.position.lat_deg.to_bits(),
+                s.position.lon_deg.to_bits(),
+                s.position.alt_km.to_bits(),
+                s.weight
+            )
+        })
+        .collect()
+}
+
+/// The stable-metric fingerprint without the fan-out's own bookkeeping
+/// (the reference build does not fan out, so its batch and task counts
+/// differ by construction).
+fn stable_work_fingerprint() -> String {
+    spacecdn_suite::telemetry::snapshot()
+        .stable_fingerprint()
+        .lines()
+        .filter(|l| !l.contains("engine.par_map."))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn covered_sources_identical_to_reference_at_any_thread_count() {
+    use spacecdn_suite::geo::{Latency, SimDuration};
+    use spacecdn_suite::measure::traffic::covered_traffic_sources_from;
+    use spacecdn_suite::prelude::LsnNetwork;
+
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let net = LsnNetwork::starlink();
+    // A churning timeline that does not start at the epoch: satellite
+    // outages plus ISL flaps, sampled every 5 s from t = 95.25 s.
+    let start = SimTime::from_millis(95_250);
+    let (epochs, step) = (6, SimDuration::from_secs(5));
+    let mut rng = DetRng::new(12, "determinism-covered-sources");
+    let mut schedule = FaultSchedule::none();
+    schedule.random_sat_outages(
+        net.constellation().len(),
+        0.1,
+        SimDuration::from_secs(130),
+        SimDuration::from_secs(10),
+        &mut rng,
+    );
+    let pristine = net
+        .snapshot(SimTime::EPOCH, &FaultPlan::none())
+        .graph_handle();
+    schedule.random_isl_flaps(
+        &pristine,
+        0.05,
+        SimDuration::from_secs(4),
+        SimDuration::from_secs(3),
+        &mut rng,
+    );
+
+    spacecdn_suite::telemetry::set_metrics_override(Some(true));
+    let measured = |build: &dyn Fn() -> Vec<spacecdn_suite::prelude::TrafficSource>| {
+        clear_graph_pool();
+        spacecdn_suite::telemetry::reset();
+        let sources = build();
+        (sources, stable_work_fingerprint())
+    };
+    let (reference, reference_work) = with_thread_count(1, || {
+        measured(&|| naive_covered_traffic_sources(&net, &schedule, start, epochs, step))
+    });
+    assert!(
+        reference_work.contains("lsn.spatial.queries"),
+        "stable fingerprint missing spatial queries:\n{reference_work}"
+    );
+    let dark = Latency::from_ms(300.0);
+    assert!(reference.len() > 80, "got {} sources", reference.len());
+    assert!(
+        reference.iter().any(|s| s
+            .fallback_rtt
+            .windows(2)
+            .any(|w| w[0] != w[1] && w[1] != dark)),
+        "the churning schedule never moved a fallback RTT between epochs"
+    );
+    let reference = sources_fingerprint(&reference);
+
+    for threads in [1, 2, 5, 8] {
+        let (sources, work) = with_thread_count(threads, || {
+            measured(&|| covered_traffic_sources_from(&net, &schedule, start, epochs, step))
+        });
+        assert_eq!(
+            sources_fingerprint(&sources),
+            reference,
+            "source table diverged from the reference at {threads} threads"
+        );
+        assert_eq!(
+            work, reference_work,
+            "stable metrics of the build diverged at {threads} threads"
+        );
+    }
+    spacecdn_suite::telemetry::set_metrics_override(None);
+    clear_graph_pool();
+}
