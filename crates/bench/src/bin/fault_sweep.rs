@@ -4,10 +4,10 @@
 //! Three sweeps, one JSON artefact (`results/FAULT_sweep.json`):
 //!
 //! 1. **Failure fraction** 0–40 %: permanent satellite kills, resolved with
-//!    the escalating-retry fetch (`retrieve_resilient`). Kill sets are
-//!    *nested* across fractions (same shuffled permutation, longer prefix)
-//!    and requests/caches are identical, so the degradation curve is
-//!    monotone by construction — and asserted to be, up to 30 %.
+//!    the escalating-retry fetch (a graceful `RetrievalRequest`). Kill
+//!    sets are *nested* across fractions (same shuffled permutation,
+//!    longer prefix) and requests/caches are identical, so the degradation
+//!    curve is monotone by construction — and asserted to be, up to 30 %.
 //! 2. **Flap rate**: a fraction of ISLs (plus seam links) cycle 120 s up /
 //!    30 s down; fetches sample several instants across the flap cycle.
 //! 3. **Figure 7 under faults**: the hop-budget CDF re-run under a 15 %

@@ -51,11 +51,8 @@ pub use network::{
     LsnNetwork, LsnSnapshot, PathBreakdown,
 };
 pub use placement::{popularity_copy_allocation, PlacementPlan, PlacementSpec, PlacementStrategy};
-#[allow(deprecated)] // the shims stay re-exported until the next major bump
-pub use retrieval::{retrieve, retrieve_multishell, retrieve_resilient};
 pub use retrieval::{
-    DegradeReason, FetchResult, ResilientOutcome, ResilientRetrievalConfig, RetrievalConfig,
-    RetrievalOutcome, RetrievalRequest, RetrievalSource,
+    DegradeReason, FetchResult, RetrievalOutcome, RetrievalRequest, RetrievalSource,
 };
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use spacevm::{plan_vm_service, VmMigrationPlan, VmServiceConfig};

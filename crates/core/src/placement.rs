@@ -7,7 +7,7 @@
 //! an object; the retrieval layer then measures how many hops a request
 //! needs to reach one.
 //!
-//! The modern entry point is [`PlacementPlan`]: copies are computed per
+//! The entry point is [`PlacementPlan`]: copies are computed per
 //! **orbital-position slot** — the `(plane, slot-phase)` key of a satellite
 //! within its shell. Satellites revisit the same ground track, so a plan
 //! keyed by slot is stable across epochs and re-materializes to concrete
@@ -107,12 +107,10 @@ pub fn popularity_copy_allocation(
     alloc
 }
 
-/// The strategy kernel shared by the deprecated [`PlacementStrategy::place`]
-/// shim and [`PlacementPlan`]'s single-object builder: selects slot keys for
-/// one object, consuming `rng` in exactly the draw order the seed-era
-/// `place` did (one `index` per plane for `PerPlane`, one `sample_indices`
-/// for the random family). Keeping both callers on this kernel is what
-/// makes the shim provably bit-identical.
+/// The strategy kernel of [`PlacementPlanBuilder::build_single`]: selects
+/// slot keys for one object, consuming `rng` in a fixed draw order (one
+/// `index` per plane for `PerPlane`, one `sample_indices` for the random
+/// family) so equal seeds give equal plans.
 fn strategy_slots(
     strategy: PlacementStrategy,
     plane_count: u16,
@@ -162,25 +160,6 @@ fn sample_slots(total: usize, count: usize, per_plane: usize, rng: &mut DetRng) 
 }
 
 impl PlacementStrategy {
-    /// Select the copy-holding satellites for one object.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a seed-carrying PlacementPlan (`PlacementPlan::builder(..).seed(..)\
-                .build_single(..)`) instead of threading a `&mut DetRng`"
-    )]
-    pub fn place(&self, constellation: &Constellation, rng: &mut DetRng) -> BTreeSet<SatIndex> {
-        let cfg = constellation.config();
-        strategy_slots(
-            *self,
-            cfg.plane_count as u16,
-            cfg.sats_per_plane as u16,
-            rng,
-        )
-        .into_iter()
-        .map(|(p, s)| constellation.sat_at(p as i64, s as i64))
-        .collect()
-    }
-
     /// True for strategies that exploit orbital structure (deterministic
     /// slot geometry) rather than uniform-random sprinkling.
     pub fn is_orbit_aware(&self) -> bool {
@@ -260,9 +239,9 @@ impl PlacementPlanBuilder {
         self
     }
 
-    /// Plan for a single object, using the strategy's legacy whole-fleet
-    /// geometry (what the deprecated `place` produced for one object). The
-    /// RNG is derived from the builder seed under a fixed stream label, so
+    /// Plan for a single object, using the strategy's whole-fleet
+    /// geometry (e.g. `k` copies in every plane for `PerPlane`). The RNG
+    /// is derived from the builder seed under a fixed stream label, so
     /// equal seeds give bit-equal plans.
     pub fn build_single(self, constellation: &Constellation) -> PlacementPlan {
         let cfg = constellation.config();
@@ -376,8 +355,8 @@ impl PlacementPlan {
             .collect()
     }
 
-    /// Materialize a single-object plan as the set the deprecated
-    /// `place` returned.
+    /// Materialize a single-object plan as its set of copy-holding
+    /// satellites.
     pub fn materialize(&self, constellation: &Constellation) -> BTreeSet<SatIndex> {
         self.sats_of(0, constellation).into_iter().collect()
     }
@@ -495,13 +474,20 @@ impl PlacementSpec {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shim's bit-identity proof must call the shim
 mod tests {
     use super::*;
     use spacecdn_orbit::shell::shells;
 
     fn shell1() -> Constellation {
         Constellation::new(shells::starlink_shell1())
+    }
+
+    /// The copy set of a single-object plan for `strategy` under `seed`.
+    fn place(strategy: PlacementStrategy, c: &Constellation, seed: u64) -> BTreeSet<SatIndex> {
+        PlacementPlan::builder(strategy)
+            .seed(seed)
+            .build_single(c)
+            .materialize(c)
     }
 
     #[test]
@@ -515,8 +501,7 @@ mod tests {
     #[test]
     fn per_plane_places_k_per_plane() {
         let c = shell1();
-        let mut rng = DetRng::new(1, "place");
-        let set = PlacementStrategy::PerPlane { k: 4 }.place(&c, &mut rng);
+        let set = place(PlacementStrategy::PerPlane { k: 4 }, &c, 1);
         assert_eq!(set.len(), 4 * 72);
         // Exactly 4 in each plane, evenly spread (gaps of 5 or 6 slots).
         for plane in 0..72u32 {
@@ -532,29 +517,26 @@ mod tests {
     #[test]
     fn per_plane_k_clamps_to_plane_size() {
         let c = shell1();
-        let mut rng = DetRng::new(2, "place");
-        let set = PlacementStrategy::PerPlane { k: 99 }.place(&c, &mut rng);
+        let set = place(PlacementStrategy::PerPlane { k: 99 }, &c, 2);
         assert_eq!(set.len(), 22 * 72);
     }
 
     #[test]
     fn random_fraction_count() {
         let c = shell1();
-        let mut rng = DetRng::new(3, "place");
-        let half = PlacementStrategy::RandomFraction { fraction: 0.5 }.place(&c, &mut rng);
+        let half = place(PlacementStrategy::RandomFraction { fraction: 0.5 }, &c, 3);
         assert_eq!(half.len(), 792);
-        let none = PlacementStrategy::RandomFraction { fraction: 0.0 }.place(&c, &mut rng);
+        let none = place(PlacementStrategy::RandomFraction { fraction: 0.0 }, &c, 3);
         assert!(none.is_empty());
-        let all = PlacementStrategy::RandomFraction { fraction: 1.0 }.place(&c, &mut rng);
+        let all = place(PlacementStrategy::RandomFraction { fraction: 1.0 }, &c, 3);
         assert_eq!(all.len(), 1584);
     }
 
     #[test]
     fn cover_radius_count_matches_formula() {
         let c = shell1();
-        let mut rng = DetRng::new(4, "place");
         for hops in [1u32, 3, 5, 10] {
-            let set = PlacementStrategy::CoverRadius { hops }.place(&c, &mut rng);
+            let set = place(PlacementStrategy::CoverRadius { hops }, &c, 4);
             let expected = (2 * 1584usize).div_ceil(grid_ball_size(hops) as usize);
             assert_eq!(set.len(), expected, "hops {hops}");
         }
@@ -563,14 +545,13 @@ mod tests {
     #[test]
     fn copy_count_matches_placement() {
         let c = shell1();
-        let mut rng = DetRng::new(5, "place");
         for strat in [
             PlacementStrategy::PerPlane { k: 4 },
             PlacementStrategy::RandomFraction { fraction: 0.3 },
             PlacementStrategy::RandomCount { count: 64 },
             PlacementStrategy::CoverRadius { hops: 5 },
         ] {
-            let set = strat.place(&c, &mut rng);
+            let set = place(strat, &c, 5);
             assert_eq!(set.len(), strat.copy_count(&c), "{strat:?}");
         }
     }
@@ -578,8 +559,8 @@ mod tests {
     #[test]
     fn placements_deterministic_per_seed() {
         let c = shell1();
-        let a = PlacementStrategy::RandomCount { count: 32 }.place(&c, &mut DetRng::new(9, "p"));
-        let b = PlacementStrategy::RandomCount { count: 32 }.place(&c, &mut DetRng::new(9, "p"));
+        let a = place(PlacementStrategy::RandomCount { count: 32 }, &c, 9);
+        let b = place(PlacementStrategy::RandomCount { count: 32 }, &c, 9);
         assert_eq!(a, b);
     }
 
@@ -621,30 +602,9 @@ mod tests {
     #[test]
     fn all_placed_sats_valid() {
         let c = shell1();
-        let mut rng = DetRng::new(6, "place");
-        let set = PlacementStrategy::CoverRadius { hops: 3 }.place(&c, &mut rng);
+        let set = place(PlacementStrategy::CoverRadius { hops: 3 }, &c, 6);
         for s in set {
             assert!((s.as_usize()) < c.len());
-        }
-    }
-
-    /// The deprecated shim and the seed-carrying plan builder are
-    /// bit-identical when fed the same RNG stream: the plan is the shim's
-    /// kernel plus a slot→sat re-materialization step.
-    #[test]
-    fn plan_build_single_bit_identical_to_deprecated_place() {
-        let c = shell1();
-        for seed in [0u64, 1, 7, 0xDEAD_BEEF] {
-            for strat in [
-                PlacementStrategy::PerPlane { k: 4 },
-                PlacementStrategy::RandomFraction { fraction: 0.3 },
-                PlacementStrategy::RandomCount { count: 64 },
-                PlacementStrategy::CoverRadius { hops: 5 },
-            ] {
-                let old = strat.place(&c, &mut DetRng::new(seed, "placement/plan"));
-                let plan = PlacementPlan::builder(strat).seed(seed).build_single(&c);
-                assert_eq!(plan.materialize(&c), old, "{strat:?} seed {seed}");
-            }
         }
     }
 

@@ -11,11 +11,10 @@
 //! description of a fetch (user position, hop-budget escalation ladder,
 //! ground-fallback RTT, graceful-degradation policy) executed against a
 //! topology snapshot — either directly via [`RetrievalRequest::execute`]
-//! or through a long-lived [`crate::scenario::Scenario`] session. The
-//! pre-redesign free functions ([`retrieve`], [`retrieve_resilient`],
-//! [`retrieve_multishell`]) remain as thin deprecated shims that delegate
-//! to the request path and are proven bit-identical to it by the
-//! equivalence suite in `crates/core/tests/equivalence.rs`.
+//! or through a long-lived [`crate::scenario::Scenario`] session. Both
+//! request modes walk the same ladder; a non-graceful request walks only
+//! its widest rung. The batched engine in [`crate::traffic`] composes its
+//! own costs and shares only [`space_segment_cost`] with this path.
 
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Km, Latency};
@@ -26,9 +25,11 @@ use std::collections::BTreeSet;
 
 /// Fetch-outcome counters (stable: outcomes are pure functions of the
 /// deterministic campaign inputs, so the tallies are identical at any
-/// thread count). `ground_fallback` splits into `budget_miss` (no copy
-/// within the hop budget) and `ground_cheaper` (a copy was in budget but
-/// the bent pipe still won on RTT).
+/// thread count). Every request counts its outcome here. A non-graceful
+/// request splits `ground_fallback` into `budget_miss` (no copy within the
+/// hop budget) and `ground_cheaper` (a copy was in budget but the bent
+/// pipe still won on RTT); a graceful one splits it under
+/// `resilient.degraded.*` instead.
 static OVERHEAD_HITS: LazyCounter = LazyCounter::stable("core.retrieval.overhead_hit");
 static ISL_HITS: LazyCounter = LazyCounter::stable("core.retrieval.isl_hit");
 static GROUND_FALLBACKS: LazyCounter = LazyCounter::stable("core.retrieval.ground_fallback");
@@ -37,10 +38,10 @@ static GROUND_CHEAPER: LazyCounter = LazyCounter::stable("core.retrieval.ground_
 /// BFS hop distance of every ISL-served fetch.
 static ISL_HOPS: LazyHistogram = LazyHistogram::stable("core.retrieval.hops", Unit::Hops);
 
-/// Resilient-retrieval counters (stable, like the fetch-outcome counters
-/// above). `retries` counts hop-budget escalations beyond the first
-/// attempt; `degraded` counts fetches that ended at the ground cache,
-/// split by reason.
+/// Graceful-request counters (stable, like the fetch-outcome counters
+/// above); non-graceful requests never touch them. `retries` counts
+/// hop-budget escalations beyond the first attempt; `degraded` counts
+/// fetches that ended at the ground cache, split by reason.
 static RESILIENT_FETCHES: LazyCounter = LazyCounter::stable("core.retrieval.resilient.fetches");
 static RESILIENT_RETRIES: LazyCounter = LazyCounter::stable("core.retrieval.resilient.retries");
 static RESILIENT_DEGRADED: LazyCounter = LazyCounter::stable("core.retrieval.resilient.degraded");
@@ -50,15 +51,15 @@ static DEGRADED_BUDGET: LazyCounter =
     LazyCounter::stable("core.retrieval.resilient.degraded.budget_exhausted");
 static DEGRADED_GROUND_CHEAPER: LazyCounter =
     LazyCounter::stable("core.retrieval.resilient.degraded.ground_cheaper");
-/// Hop-budget attempts per resilient fetch (1 = served on the first rung).
+/// Hop-budget attempts per graceful fetch (1 = served on the first rung).
 static RESILIENT_ATTEMPTS: LazyHistogram =
     LazyHistogram::stable("core.retrieval.resilient.attempts", Unit::Count);
 
 /// Full space-segment round-trip cost of fetching over an ISL route:
 /// two-way vacuum propagation along `dist_km` plus per-hop switching.
 /// Selecting on kilometres alone would be wrong — a shorter route through
-/// more (cheaper) hops can still lose on total. Shared by the fetch paths
-/// here and the batched traffic engine so the cost model cannot drift.
+/// more (cheaper) hops can still lose on total. Shared by the ladder here
+/// and the batched traffic engine so the cost model cannot drift.
 #[inline]
 pub fn space_segment_cost(access: &AccessModel, dist_km: f64, route_hops: u32) -> Latency {
     propagation_delay(Km(dist_km), Medium::Vacuum).round_trip()
@@ -103,21 +104,7 @@ pub struct RetrievalOutcome {
     pub serving_sat: Option<SatIndex>,
 }
 
-/// Parameters of a fetch through the deprecated [`retrieve`] /
-/// [`retrieve_multishell`] shims. New code expresses the same policy on a
-/// [`RetrievalRequest`] (`.hop_budget(..)` + `.ground_fallback(..)`).
-#[derive(Debug, Clone, Copy)]
-pub struct RetrievalConfig {
-    /// Maximum ISL hops to search for a cached copy (the paper sweeps
-    /// 1/3/5/10).
-    pub max_isl_hops: u32,
-    /// RTT of the ground fallback (bent pipe to the cache server near the
-    /// ground station / PoP). Computed by the caller from the network model
-    /// so retrieval stays decoupled from PoP homing.
-    pub ground_fallback_rtt: Latency,
-}
-
-/// Why a resilient fetch degraded to the ground cache.
+/// Why a fetch degraded to the ground cache (or found no service).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
     /// No satellite can serve the user at all (the terminal sees sky with
@@ -131,47 +118,8 @@ pub enum DegradeReason {
     GroundCheaper,
 }
 
-/// Retry/escalation policy of a fetch through the deprecated
-/// [`retrieve_resilient`] shim. New code expresses the same policy on a
-/// [`RetrievalRequest`] (`.escalation(..)` + `.ground_fallback(..)`).
-#[derive(Debug, Clone)]
-pub struct ResilientRetrievalConfig {
-    /// Hop budgets to try in order (must be non-empty and ascending —
-    /// the paper's 1 → 3 → 5 → 10 ladder by default). Each rung widens
-    /// the ISL search radius of the previous attempt.
-    pub escalation: Vec<u32>,
-    /// RTT of the ground fallback (see [`RetrievalConfig`]).
-    pub ground_fallback_rtt: Latency,
-}
-
-impl Default for ResilientRetrievalConfig {
-    fn default() -> Self {
-        ResilientRetrievalConfig {
-            escalation: vec![1, 3, 5, 10],
-            ground_fallback_rtt: Latency::from_ms(160.0),
-        }
-    }
-}
-
-/// One resolved resilient fetch (returned by the deprecated
-/// [`retrieve_resilient`] shim). Unlike [`retrieve`], there is always an
-/// outcome: when space cannot serve, the fetch degrades to the ground
-/// cache with the reason recorded, it never returns `None`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientOutcome {
-    /// The served fetch.
-    pub outcome: RetrievalOutcome,
-    /// Hop budgets tried (1 = first rung sufficed; 0 only in a dead
-    /// zone, where there was nothing to escalate).
-    pub attempts: u32,
-    /// `Some` when the fetch fell back to the ground cache.
-    pub degraded: Option<DegradeReason>,
-}
-
 /// One content fetch, described policy-first and executed against a
-/// snapshot — the unified replacement for the [`retrieve`] /
-/// [`retrieve_resilient`] / [`retrieve_multishell`] trio and their
-/// overlapping config structs.
+/// snapshot.
 ///
 /// Construct with [`RetrievalRequest::new`] and refine with the builder
 /// methods; the struct is `#[non_exhaustive]` so new policy knobs can be
@@ -179,16 +127,27 @@ pub struct ResilientOutcome {
 ///
 /// * `.graceful(true)` (the default) walks the hop-budget **escalation
 ///   ladder** and always resolves: when space cannot serve, the fetch
-///   degrades to the ground cache with the reason recorded — the old
-///   `retrieve_resilient` semantics.
+///   degrades to the ground cache with the reason recorded.
 /// * `.graceful(false)` performs a single attempt at the **last** rung of
 ///   the ladder (so `.hop_budget(n)` means "one attempt at budget n") and
-///   reports a dead zone as `outcome: None` — the old `retrieve`
-///   semantics.
+///   reports a dead zone as `outcome: None`.
 ///
-/// Per-fetch user-link jitter is sampled from the caller's `rng` exactly
-/// as the shims sampled it, so replayed request sequences keep their RNG
-/// streams bit-aligned across the old and new APIs.
+/// Copy selection is **latency-optimal within the hop budget**: among
+/// copies reachable in ≤ budget ISL hops (BFS metric — the budget the
+/// paper sweeps), the one with the lowest space-segment cost wins.
+/// Hop-nearest and latency-nearest differ on the +Grid because
+/// intra-plane hops are ~3× longer than inter-plane ones. Routing always
+/// uses the *given* snapshot's tables, so fetches detour around links and
+/// satellites that died after the content was placed — the cache set is
+/// the warm-time intent, the graph is the present truth.
+///
+/// When `rng` is given, user-link jitter is drawn at most once per fetch,
+/// at points that are part of the contract. A graceful request draws
+/// exactly once whenever a satellite is overhead, however many rungs it
+/// tries, so a request sequence replayed under different fault plans
+/// keeps its RNG stream aligned. A non-graceful request draws only when
+/// the overhead satellite or an in-budget copy can serve; the Figure 7/8
+/// campaigns depend on that.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct RetrievalRequest {
@@ -248,16 +207,11 @@ impl RetrievalRequest {
         self
     }
 
-    fn validate(&self) {
-        assert!(
-            !self.escalation.is_empty() && self.escalation.windows(2).all(|w| w[0] < w[1]),
-            "escalation ladder must be non-empty and ascending"
-        );
-    }
-
     /// Execute the request against one shell's topology snapshot and the
-    /// set of satellites currently caching the object. When `rng` is
-    /// given, user-link jitter is sampled (exactly once per fetch).
+    /// set of satellites currently caching the object.
+    ///
+    /// Panics when the escalation ladder is empty or not strictly
+    /// ascending.
     pub fn execute(
         &self,
         graph: &IslGraph,
@@ -265,105 +219,11 @@ impl RetrievalRequest {
         caches: &BTreeSet<SatIndex>,
         rng: Option<&mut DetRng>,
     ) -> FetchResult {
-        self.validate();
-        if self.graceful {
-            resilient_fetch(
-                graph,
-                access,
-                self.user,
-                caches,
-                &self.escalation,
-                self.ground_fallback_rtt,
-                rng,
-            )
-        } else {
-            plain_fetch(
-                graph,
-                access,
-                self.user,
-                caches,
-                *self.escalation.last().expect("validated non-empty"),
-                self.ground_fallback_rtt,
-                rng,
-            )
-        }
-    }
-
-    /// Execute the request independently in every shell (ISLs do not
-    /// cross shells) and take the cheapest in-space result; fall back to
-    /// ground only when every shell misses.
-    ///
-    /// `shells` are per-shell topology snapshots at one instant;
-    /// `caches[i]` holds shell *i*'s copies. Each shell performs a single
-    /// attempt at the ladder's widest rung; `graceful` only decides how a
-    /// fully dead fleet is reported (`Some(Ground)` vs. `outcome: None`).
-    pub fn execute_multishell(
-        &self,
-        shells: &[IslGraph],
-        access: &AccessModel,
-        caches: &[BTreeSet<SatIndex>],
-        mut rng: Option<&mut DetRng>,
-    ) -> FetchResult {
-        self.validate();
-        assert_eq!(
-            shells.len(),
-            caches.len(),
-            "one cache set per shell required"
+        assert!(
+            !self.escalation.is_empty() && self.escalation.windows(2).all(|w| w[0] < w[1]),
+            "escalation ladder must be non-empty and ascending"
         );
-        let budget = *self.escalation.last().expect("validated non-empty");
-        let mut best: Option<RetrievalOutcome> = None;
-        let mut any_alive = false;
-        for (graph, shell_caches) in shells.iter().zip(caches) {
-            let fetched = plain_fetch(
-                graph,
-                access,
-                self.user,
-                shell_caches,
-                budget,
-                self.ground_fallback_rtt,
-                rng.as_deref_mut(),
-            );
-            let Some(out) = fetched.outcome else {
-                continue;
-            };
-            any_alive = true;
-            if out.source == RetrievalSource::Ground {
-                continue; // prefer any in-space hit from another shell
-            }
-            if best
-                .as_ref()
-                .is_none_or(|b| b.source == RetrievalSource::Ground || out.rtt < b.rtt)
-            {
-                best = Some(out);
-            }
-        }
-        if let Some(out) = best {
-            return FetchResult {
-                outcome: Some(out),
-                attempts: 1,
-                degraded: None,
-            };
-        }
-        if any_alive {
-            return FetchResult {
-                outcome: Some(RetrievalOutcome {
-                    source: RetrievalSource::Ground,
-                    rtt: self.ground_fallback_rtt,
-                    serving_sat: None,
-                }),
-                attempts: 1,
-                degraded: Some(DegradeReason::BudgetExhausted),
-            };
-        }
-        FetchResult {
-            outcome: self.graceful.then_some(RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: self.ground_fallback_rtt,
-                serving_sat: None,
-            }),
-            attempts: 0,
-            degraded: Some(DegradeReason::DeadZone),
-        }
+        walk_ladder(self, graph, access, caches, rng)
     }
 }
 
@@ -397,65 +257,94 @@ impl FetchResult {
     }
 }
 
-/// Single-attempt fetch at one hop budget — the moved body of the old
-/// `retrieve`, bit-for-bit (copy ordering, cost model, RNG sampling
-/// order, telemetry).
-fn plain_fetch(
+/// The Figure 6 escalation ladder, shared by both request modes. A
+/// non-graceful request walks the one-rung ladder of its widest budget;
+/// the modes differ only in dead-zone reporting, the telemetry family
+/// they count into and when the user-link jitter is drawn (see
+/// [`RetrievalRequest`]).
+fn walk_ladder(
+    req: &RetrievalRequest,
     graph: &IslGraph,
     access: &AccessModel,
-    user: Geodetic,
     caches: &BTreeSet<SatIndex>,
-    max_isl_hops: u32,
-    ground_fallback_rtt: Latency,
     mut rng: Option<&mut DetRng>,
 ) -> FetchResult {
-    let Some((overhead, up_slant)) = graph.nearest_alive(user) else {
+    let graceful = req.graceful;
+    let ladder = if graceful {
+        &req.escalation[..]
+    } else {
+        &req.escalation[req.escalation.len() - 1..]
+    };
+    let ground = RetrievalOutcome {
+        source: RetrievalSource::Ground,
+        rtt: req.ground_fallback_rtt,
+        serving_sat: None,
+    };
+    if graceful {
+        RESILIENT_FETCHES.incr();
+    }
+
+    let Some((overhead, up_slant)) = graph.nearest_alive(req.user) else {
+        if graceful {
+            RESILIENT_DEGRADED.incr();
+            DEGRADED_DEAD_ZONE.incr();
+            RESILIENT_ATTEMPTS.record(0);
+        }
         return FetchResult {
-            outcome: None,
+            outcome: graceful.then_some(ground),
             attempts: 0,
             degraded: Some(DegradeReason::DeadZone),
         };
     };
+    let mut draw_user_link = || match rng.as_deref_mut() {
+        Some(r) => access.user_link_rtt_sample(up_slant, r),
+        None => access.user_link_rtt_median(up_slant),
+    };
+    let mut user_link = graceful.then(&mut draw_user_link);
 
-    // Fast path: the overhead satellite itself.
-    let overhead_hit = caches.contains(&overhead) && graph.is_alive(overhead);
+    // Candidate copies as (satellite, BFS hops, space-segment cost), in
+    // BTreeSet order so cost ties resolve deterministically. An overhead
+    // copy is the only candidate: it costs nothing in space, so no rung
+    // can beat it.
+    let copies: Vec<(SatIndex, u32, Latency)> =
+        if caches.contains(&overhead) && graph.is_alive(overhead) {
+            vec![(overhead, 0, Latency::ZERO)]
+        } else {
+            let widest = ladder[ladder.len() - 1];
+            let tables = graph.routing_tables(overhead);
+            caches
+                .iter()
+                .filter_map(|&sat| {
+                    let h = tables.hops[sat.as_usize()];
+                    let (dist_km, route_hops) = tables.km[sat.as_usize()];
+                    (graph.is_alive(sat) && h != u32::MAX && h <= widest && dist_km.is_finite())
+                        .then(|| (sat, h, space_segment_cost(access, dist_km, route_hops)))
+                })
+                .collect()
+        };
 
-    // (satellite, space-segment RTT cost, hop distance per BFS)
-    let best = if overhead_hit {
-        Some((overhead, Latency::ZERO, 0u32))
-    } else {
-        let tables = graph.routing_tables(overhead);
-        let mut best: Option<(SatIndex, Latency, u32)> = None;
-        for &sat in caches {
-            if !graph.is_alive(sat) {
-                continue;
-            }
-            let h = tables.hops[sat.as_usize()];
-            if h == u32::MAX || h > max_isl_hops {
-                continue;
-            }
-            let (dist_km, route_hops) = tables.km[sat.as_usize()];
-            if !dist_km.is_finite() {
-                continue;
-            }
-            let cost = space_segment_cost(access, dist_km, route_hops);
-            if best.is_none_or(|(_, b, _)| cost < b) {
-                best = Some((sat, cost, h));
+    let mut attempts = 0u32;
+    let mut any_in_budget = false;
+    for &budget in ladder {
+        attempts += 1;
+        if attempts > 1 {
+            RESILIENT_RETRIES.incr();
+        }
+        let mut best: Option<(SatIndex, u32, Latency)> = None;
+        for &(sat, h, cost) in &copies {
+            if h <= budget && best.is_none_or(|(_, _, b)| cost < b) {
+                best = Some((sat, h, cost));
             }
         }
-        best
-    };
-
-    if let Some((serving, space_cost, bfs_hops)) = best {
-        let user_link = match rng.as_mut() {
-            Some(r) => access.user_link_rtt_sample(up_slant, r),
-            None => access.user_link_rtt_median(up_slant),
+        let Some((serving, bfs_hops, space_cost)) = best else {
+            continue;
         };
-        let rtt = user_link + space_cost;
+        any_in_budget = true;
+        let rtt = *user_link.get_or_insert_with(&mut draw_user_link) + space_cost;
         // A rational client takes whichever source is cheaper: a copy at
-        // the far edge of a generous hop budget can cost more than the
-        // bent pipe to the ground cache.
-        if rtt <= ground_fallback_rtt {
+        // the far edge of a generous hop budget — or even the overhead
+        // copy behind a slow user link — can lose to the bent pipe.
+        if rtt <= req.ground_fallback_rtt {
             // The source reports the BFS hop distance — the "found within
             // n hops" metric of the paper — even when the latency-optimal
             // route takes more (shorter) hops.
@@ -467,153 +356,12 @@ fn plain_fetch(
                 ISL_HOPS.record(u64::from(bfs_hops));
                 RetrievalSource::Isl { hops: bfs_hops }
             };
+            if graceful {
+                RESILIENT_ATTEMPTS.record(u64::from(attempts));
+            }
             return FetchResult {
                 outcome: Some(RetrievalOutcome {
                     source,
-                    rtt,
-                    serving_sat: Some(serving),
-                }),
-                attempts: 1,
-                degraded: None,
-            };
-        }
-    }
-
-    // Ground fallback: the caller-provided bent-pipe RTT (already includes
-    // the user link, so no double counting).
-    GROUND_FALLBACKS.incr();
-    let reason = if best.is_some() {
-        GROUND_CHEAPER.incr();
-        DegradeReason::GroundCheaper
-    } else {
-        BUDGET_MISSES.incr();
-        DegradeReason::BudgetExhausted
-    };
-    FetchResult {
-        outcome: Some(RetrievalOutcome {
-            source: RetrievalSource::Ground,
-            rtt: ground_fallback_rtt,
-            serving_sat: None,
-        }),
-        attempts: 1,
-        degraded: Some(reason),
-    }
-}
-
-/// Escalation-ladder fetch with graceful degradation — the moved body of
-/// the old `retrieve_resilient`, bit-for-bit.
-fn resilient_fetch(
-    graph: &IslGraph,
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &BTreeSet<SatIndex>,
-    escalation: &[u32],
-    ground_fallback_rtt: Latency,
-    mut rng: Option<&mut DetRng>,
-) -> FetchResult {
-    RESILIENT_FETCHES.incr();
-
-    let Some((overhead, up_slant)) = graph.nearest_alive(user) else {
-        RESILIENT_DEGRADED.incr();
-        DEGRADED_DEAD_ZONE.incr();
-        RESILIENT_ATTEMPTS.record(0);
-        return FetchResult {
-            outcome: Some(RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: ground_fallback_rtt,
-                serving_sat: None,
-            }),
-            attempts: 0,
-            degraded: Some(DegradeReason::DeadZone),
-        };
-    };
-    let user_link = match rng.as_mut() {
-        Some(r) => access.user_link_rtt_sample(up_slant, r),
-        None => access.user_link_rtt_median(up_slant),
-    };
-
-    if caches.contains(&overhead) && graph.is_alive(overhead) {
-        // Same rationality check as the single-attempt path: even an
-        // overhead hit can lose to the bent pipe when the user link alone
-        // exceeds it.
-        if user_link <= ground_fallback_rtt {
-            OVERHEAD_HITS.incr();
-            RESILIENT_ATTEMPTS.record(1);
-            return FetchResult {
-                outcome: Some(RetrievalOutcome {
-                    source: RetrievalSource::Overhead,
-                    rtt: user_link,
-                    serving_sat: Some(overhead),
-                }),
-                attempts: 1,
-                degraded: None,
-            };
-        }
-        GROUND_FALLBACKS.incr();
-        DEGRADED_GROUND_CHEAPER.incr();
-        RESILIENT_DEGRADED.incr();
-        RESILIENT_ATTEMPTS.record(1);
-        return FetchResult {
-            outcome: Some(RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: ground_fallback_rtt,
-                serving_sat: None,
-            }),
-            attempts: 1,
-            degraded: Some(DegradeReason::GroundCheaper),
-        };
-    }
-
-    // Scan the copy set once (BTreeSet order, the same deterministic
-    // order the single-attempt path uses): each alive copy's BFS hop
-    // distance and space-segment cost over the current — possibly
-    // degraded — graph.
-    let tables = graph.routing_tables(overhead);
-    let mut copies: Vec<(SatIndex, u32, Latency)> = Vec::new();
-    for &sat in caches {
-        if !graph.is_alive(sat) {
-            continue;
-        }
-        let h = tables.hops[sat.as_usize()];
-        if h == u32::MAX {
-            continue;
-        }
-        let (dist_km, route_hops) = tables.km[sat.as_usize()];
-        if !dist_km.is_finite() {
-            continue;
-        }
-        let cost = space_segment_cost(access, dist_km, route_hops);
-        copies.push((sat, h, cost));
-    }
-
-    let mut attempts = 0u32;
-    let mut any_in_budget = false;
-    for &budget in escalation {
-        attempts += 1;
-        if attempts > 1 {
-            RESILIENT_RETRIES.incr();
-        }
-        let mut best: Option<(SatIndex, Latency, u32)> = None;
-        for &(sat, h, cost) in &copies {
-            if h > budget {
-                continue;
-            }
-            if best.is_none_or(|(_, b, _)| cost < b) {
-                best = Some((sat, cost, h));
-            }
-        }
-        let Some((serving, space_cost, bfs_hops)) = best else {
-            continue;
-        };
-        any_in_budget = true;
-        let rtt = user_link + space_cost;
-        if rtt <= ground_fallback_rtt {
-            ISL_HITS.incr();
-            ISL_HOPS.record(u64::from(bfs_hops));
-            RESILIENT_ATTEMPTS.record(u64::from(attempts));
-            return FetchResult {
-                outcome: Some(RetrievalOutcome {
-                    source: RetrievalSource::Isl { hops: bfs_hops },
                     rtt,
                     serving_sat: Some(serving),
                 }),
@@ -621,137 +369,40 @@ fn resilient_fetch(
                 degraded: None,
             };
         }
+        if bfs_hops == 0 {
+            break; // the overhead copy lost: no wider rung adds a copy
+        }
         // Ground currently wins, but keep escalating: a wider budget can
         // admit a kilometre-cheaper copy that beats the bent pipe.
     }
 
+    // Ground fallback: the caller-provided bent-pipe RTT (already includes
+    // the user link, so no double counting).
+    GROUND_FALLBACKS.incr();
+    let reason_counter = match (graceful, any_in_budget) {
+        (true, true) => &DEGRADED_GROUND_CHEAPER,
+        (true, false) => &DEGRADED_BUDGET,
+        (false, true) => &GROUND_CHEAPER,
+        (false, false) => &BUDGET_MISSES,
+    };
+    reason_counter.incr();
+    if graceful {
+        RESILIENT_DEGRADED.incr();
+        RESILIENT_ATTEMPTS.record(u64::from(attempts));
+    }
     let reason = if any_in_budget {
-        DEGRADED_GROUND_CHEAPER.incr();
         DegradeReason::GroundCheaper
     } else {
-        DEGRADED_BUDGET.incr();
         DegradeReason::BudgetExhausted
     };
-    GROUND_FALLBACKS.incr();
-    RESILIENT_DEGRADED.incr();
-    RESILIENT_ATTEMPTS.record(u64::from(attempts));
     FetchResult {
-        outcome: Some(RetrievalOutcome {
-            source: RetrievalSource::Ground,
-            rtt: ground_fallback_rtt,
-            serving_sat: None,
-        }),
+        outcome: Some(ground),
         attempts,
         degraded: Some(reason),
     }
 }
 
-/// Resolve one fetch for a user at `user` against the set of satellites
-/// currently caching the object.
-///
-/// Copy selection is **latency-optimal within the hop budget**: among
-/// copies reachable in ≤ `max_isl_hops` ISL hops (BFS metric — the budget
-/// the paper sweeps), the one with the lowest propagation latency wins.
-/// Hop-nearest and latency-nearest differ on the +Grid because intra-plane
-/// hops are ~3× longer than inter-plane ones; a deployed SpaceCDN routes by
-/// latency.
-///
-/// Returns `None` only when no satellite serves the user at all (dead
-/// constellation). When `rng` is given, user-link jitter is sampled.
-#[deprecated(
-    since = "0.5.0",
-    note = "build a RetrievalRequest (graceful(false) + hop_budget) and execute it, \
-            or fetch through a Scenario session"
-)]
-pub fn retrieve(
-    graph: &IslGraph,
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &BTreeSet<SatIndex>,
-    config: &RetrievalConfig,
-    rng: Option<&mut DetRng>,
-) -> Option<RetrievalOutcome> {
-    RetrievalRequest::new(user)
-        .hop_budget(config.max_isl_hops)
-        .ground_fallback(config.ground_fallback_rtt)
-        .graceful(false)
-        .execute(graph, access, caches, rng)
-        .outcome
-}
-
-/// Resolve one fetch with retry and graceful degradation: walk the
-/// config's hop-budget escalation ladder until a cached copy wins, then
-/// fall back to the ground cache with the failure reason recorded in
-/// telemetry.
-///
-/// Within each rung, copy selection is identical to [`retrieve`]
-/// (latency-optimal within the BFS hop budget). Escalation continues past
-/// a rung whose best copy loses to the ground fallback: a wider radius
-/// admits more copies, and the +Grid's long intra-plane hops mean a
-/// hop-farther copy can still be kilometre-cheaper. Routing always uses
-/// the *current* snapshot's tables, so routes computed here detour around
-/// links and satellites that died after the content was placed — the
-/// cache set is the warm-time intent, the graph is the present truth.
-///
-/// The user-link jitter (when `rng` is given) is sampled exactly once per
-/// fetch regardless of how many rungs are tried, so callers replaying a
-/// request sequence under different fault plans keep their RNG streams
-/// aligned.
-#[deprecated(
-    since = "0.5.0",
-    note = "build a RetrievalRequest (graceful by default) and execute it, \
-            or fetch through a Scenario session"
-)]
-pub fn retrieve_resilient(
-    graph: &IslGraph,
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &BTreeSet<SatIndex>,
-    config: &ResilientRetrievalConfig,
-    rng: Option<&mut DetRng>,
-) -> ResilientOutcome {
-    let fetched = RetrievalRequest::new(user)
-        .escalation(config.escalation.clone())
-        .ground_fallback(config.ground_fallback_rtt)
-        .graceful(true)
-        .execute(graph, access, caches, rng);
-    ResilientOutcome {
-        outcome: fetched.outcome.expect("graceful fetch always resolves"),
-        attempts: fetched.attempts,
-        degraded: fetched.degraded,
-    }
-}
-
-/// Multi-shell retrieval: resolve the fetch independently in every shell
-/// (ISLs do not cross shells) and take the cheapest in-space result; fall
-/// back to ground only when every shell misses.
-///
-/// `shells` are per-shell topology snapshots at one instant; `caches[i]`
-/// holds shell *i*'s copies. The per-shell hop budget applies within each
-/// shell.
-#[deprecated(
-    since = "0.5.0",
-    note = "build a RetrievalRequest (graceful(false) + hop_budget) and call \
-            execute_multishell"
-)]
-pub fn retrieve_multishell(
-    shells: &[IslGraph],
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &[BTreeSet<SatIndex>],
-    config: &RetrievalConfig,
-    rng: Option<&mut DetRng>,
-) -> Option<RetrievalOutcome> {
-    RetrievalRequest::new(user)
-        .hop_budget(config.max_isl_hops)
-        .ground_fallback(config.ground_fallback_rtt)
-        .graceful(false)
-        .execute_multishell(shells, access, caches, rng)
-        .outcome
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the suite pins the deprecated shims on purpose
 mod tests {
     use super::*;
     use spacecdn_geo::SimTime;
@@ -765,11 +416,42 @@ mod tests {
         (c, g, AccessModel::default())
     }
 
-    fn cfg(max_hops: u32) -> RetrievalConfig {
-        RetrievalConfig {
-            max_isl_hops: max_hops,
-            ground_fallback_rtt: Latency::from_ms(150.0),
-        }
+    /// One non-graceful attempt at `max_hops` with a 150 ms ground
+    /// fallback, outside a dead zone.
+    fn plain(
+        g: &IslGraph,
+        access: &AccessModel,
+        user: Geodetic,
+        caches: &BTreeSet<SatIndex>,
+        max_hops: u32,
+    ) -> RetrievalOutcome {
+        RetrievalRequest::new(user)
+            .hop_budget(max_hops)
+            .ground_fallback(Latency::from_ms(150.0))
+            .graceful(false)
+            .execute(g, access, caches, None)
+            .outcome
+            .expect("a satellite is overhead")
+    }
+
+    /// A graceful fetch over `ladder` with a `ground_ms` fallback.
+    fn graceful(
+        g: &IslGraph,
+        access: &AccessModel,
+        user: Geodetic,
+        caches: &BTreeSet<SatIndex>,
+        ladder: &[u32],
+        ground_ms: f64,
+    ) -> (RetrievalOutcome, FetchResult) {
+        let fetched = RetrievalRequest::new(user)
+            .escalation(ladder)
+            .ground_fallback(Latency::from_ms(ground_ms))
+            .execute(g, access, caches, None);
+        let outcome = fetched
+            .outcome
+            .clone()
+            .expect("graceful fetch always resolves");
+        (outcome, fetched)
     }
 
     #[test]
@@ -778,7 +460,7 @@ mod tests {
         let user = Geodetic::ground(40.0, -3.7);
         let (overhead, _) = g.nearest_alive(user).unwrap();
         let caches: BTreeSet<_> = [overhead].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(5), None).unwrap();
+        let out = plain(&g, &access, user, &caches, 5);
         assert_eq!(out.source, RetrievalSource::Overhead);
         assert_eq!(out.serving_sat, Some(overhead));
         assert!(out.rtt.ms() < 25.0, "got {}", out.rtt);
@@ -803,19 +485,11 @@ mod tests {
             cur
         };
         let caches: BTreeSet<_> = [target].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(5), None).unwrap();
+        let out = plain(&g, &access, user, &caches, 5);
         assert_eq!(out.source, RetrievalSource::Isl { hops: 3 });
         assert_eq!(out.serving_sat, Some(target));
 
-        let direct = retrieve(
-            &g,
-            &access,
-            user,
-            &[overhead].into_iter().collect(),
-            &cfg(5),
-            None,
-        )
-        .unwrap();
+        let direct = plain(&g, &access, user, &[overhead].into_iter().collect(), 5);
         assert!(out.rtt > direct.rtt);
     }
 
@@ -830,7 +504,7 @@ mod tests {
             c.slot_of(overhead) as i64 + 11,
         );
         let caches: BTreeSet<_> = [far].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(3), None).unwrap();
+        let out = plain(&g, &access, user, &caches, 3);
         assert_eq!(out.source, RetrievalSource::Ground);
         assert_eq!(out.rtt, Latency::from_ms(150.0));
         assert_eq!(out.serving_sat, None);
@@ -839,15 +513,13 @@ mod tests {
     #[test]
     fn empty_cache_set_always_ground() {
         let (_, g, access) = setup();
-        let out = retrieve(
+        let out = plain(
             &g,
             &access,
             Geodetic::ground(0.0, 0.0),
             &BTreeSet::new(),
-            &cfg(10),
-            None,
-        )
-        .unwrap();
+            10,
+        );
         assert_eq!(out.source, RetrievalSource::Ground);
     }
 
@@ -862,7 +534,7 @@ mod tests {
             c.slot_of(overhead) as i64 + 5,
         );
         let caches: BTreeSet<_> = [far, near].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(20), None).unwrap();
+        let out = plain(&g, &access, user, &caches, 20);
         assert_eq!(out.serving_sat, Some(near));
         assert_eq!(out.source, RetrievalSource::Isl { hops: 1 });
     }
@@ -879,78 +551,8 @@ mod tests {
         // The failed satellite is in the cache set but cannot serve.
         let caches: BTreeSet<_> = [overhead].into_iter().collect();
         let access = AccessModel::default();
-        let out = retrieve(&g, &access, user, &caches, &cfg(10), None).unwrap();
+        let out = plain(&g, &access, user, &caches, 10);
         assert_eq!(out.source, RetrievalSource::Ground);
-    }
-
-    #[test]
-    fn multishell_prefers_cheapest_space_hit() {
-        use spacecdn_orbit::MultiConstellation;
-        let fleet = MultiConstellation::starlink_2024();
-        let user = Geodetic::ground(48.1, 11.6);
-        let graphs: Vec<IslGraph> = fleet
-            .shells()
-            .iter()
-            .map(|s| IslGraph::build(s, SimTime::EPOCH, &FaultPlan::none()))
-            .collect();
-        let access = AccessModel::default();
-
-        // Copy only in shell 1 (index 1), three hops from its overhead sat.
-        let (oh1, _) = graphs[1].nearest_alive(user).unwrap();
-        let target = {
-            let c = fleet.shell(1);
-            c.sat_at(c.plane_of(oh1) as i64 + 2, c.slot_of(oh1) as i64 + 1)
-        };
-        let caches: Vec<BTreeSet<SatIndex>> = vec![
-            BTreeSet::new(),
-            [target].into_iter().collect(),
-            BTreeSet::new(),
-            BTreeSet::new(),
-        ];
-        let out = retrieve_multishell(&graphs, &access, user, &caches, &cfg(10), None).unwrap();
-        assert_ne!(out.source, RetrievalSource::Ground);
-        assert_eq!(out.serving_sat, Some(target));
-
-        // Add an overhead copy in shell 0: it must win.
-        let (oh0, _) = graphs[0].nearest_alive(user).unwrap();
-        let caches2: Vec<BTreeSet<SatIndex>> = vec![
-            [oh0].into_iter().collect(),
-            [target].into_iter().collect(),
-            BTreeSet::new(),
-            BTreeSet::new(),
-        ];
-        let better = retrieve_multishell(&graphs, &access, user, &caches2, &cfg(10), None).unwrap();
-        assert_eq!(better.source, RetrievalSource::Overhead);
-        assert!(better.rtt < out.rtt);
-    }
-
-    #[test]
-    fn multishell_all_miss_is_ground() {
-        use spacecdn_orbit::MultiConstellation;
-        let fleet = MultiConstellation::starlink_2024();
-        let graphs: Vec<IslGraph> = fleet
-            .shells()
-            .iter()
-            .map(|s| IslGraph::build(s, SimTime::EPOCH, &FaultPlan::none()))
-            .collect();
-        let caches = vec![BTreeSet::new(); 4];
-        let out = retrieve_multishell(
-            &graphs,
-            &AccessModel::default(),
-            Geodetic::ground(0.0, 0.0),
-            &caches,
-            &cfg(5),
-            None,
-        )
-        .unwrap();
-        assert_eq!(out.source, RetrievalSource::Ground);
-    }
-
-    fn rcfg(ladder: &[u32], ground_ms: f64) -> ResilientRetrievalConfig {
-        ResilientRetrievalConfig {
-            escalation: ladder.to_vec(),
-            ground_fallback_rtt: Latency::from_ms(ground_ms),
-        }
     }
 
     #[test]
@@ -964,23 +566,18 @@ mod tests {
                 .collect();
             let budget = 1 + rng.index(11) as u32;
             let ground = rng.uniform(30.0, 200.0);
-            let plain = retrieve(
-                &g,
-                &access,
-                user,
-                &caches,
-                &RetrievalConfig {
-                    max_isl_hops: budget,
-                    ground_fallback_rtt: Latency::from_ms(ground),
-                },
-                None,
-            )
-            .unwrap();
-            let resilient =
-                retrieve_resilient(&g, &access, user, &caches, &rcfg(&[budget], ground), None);
+            let req = RetrievalRequest::new(user)
+                .hop_budget(budget)
+                .ground_fallback(Latency::from_ms(ground));
+            let plain = req
+                .clone()
+                .graceful(false)
+                .execute(&g, &access, &caches, None);
+            let resilient = req.execute(&g, &access, &caches, None);
+            assert!(plain.outcome.is_some());
             assert_eq!(
-                resilient.outcome, plain,
-                "trial {trial}: single-rung resilient diverges from retrieve"
+                resilient.outcome, plain.outcome,
+                "trial {trial}: single-rung graceful diverges from non-graceful"
             );
         }
     }
@@ -994,35 +591,28 @@ mod tests {
         // rung 5 serves it.
         let target = c.sat_at(c.plane_of(overhead) as i64 + 4, c.slot_of(overhead) as i64);
         let caches: BTreeSet<_> = [target].into_iter().collect();
-        let out = retrieve_resilient(
-            &g,
-            &access,
-            user,
-            &caches,
-            &rcfg(&[1, 3, 5, 10], 200.0),
-            None,
-        );
-        assert_eq!(out.outcome.source, RetrievalSource::Isl { hops: 4 });
-        assert_eq!(out.outcome.serving_sat, Some(target));
-        assert_eq!(out.attempts, 3, "rungs 1 and 3 must be tried and fail");
-        assert_eq!(out.degraded, None);
+        let (out, fetched) = graceful(&g, &access, user, &caches, &[1, 3, 5, 10], 200.0);
+        assert_eq!(out.source, RetrievalSource::Isl { hops: 4 });
+        assert_eq!(out.serving_sat, Some(target));
+        assert_eq!(fetched.attempts, 3, "rungs 1 and 3 must be tried and fail");
+        assert_eq!(fetched.degraded, None);
     }
 
     #[test]
     fn exhausted_ladder_degrades_to_ground() {
         let (_, g, access) = setup();
-        let out = retrieve_resilient(
+        let (out, fetched) = graceful(
             &g,
             &access,
             Geodetic::ground(0.0, 0.0),
             &BTreeSet::new(),
-            &rcfg(&[1, 3, 5, 10], 160.0),
-            None,
+            &[1, 3, 5, 10],
+            160.0,
         );
-        assert_eq!(out.outcome.source, RetrievalSource::Ground);
-        assert_eq!(out.outcome.rtt, Latency::from_ms(160.0));
-        assert_eq!(out.attempts, 4);
-        assert_eq!(out.degraded, Some(DegradeReason::BudgetExhausted));
+        assert_eq!(out.source, RetrievalSource::Ground);
+        assert_eq!(out.rtt, Latency::from_ms(160.0));
+        assert_eq!(fetched.attempts, 4);
+        assert_eq!(fetched.degraded, Some(DegradeReason::BudgetExhausted));
     }
 
     #[test]
@@ -1033,23 +623,21 @@ mod tests {
             faults.fail_sat(s);
         }
         let g = IslGraph::build(&c, SimTime::EPOCH, &faults);
-        let out = retrieve_resilient(
+        let fetched = RetrievalRequest::new(Geodetic::ground(10.0, 10.0)).execute(
             &g,
             &AccessModel::default(),
-            Geodetic::ground(10.0, 10.0),
             &[SatIndex(0)].into_iter().collect(),
-            &ResilientRetrievalConfig::default(),
             None,
         );
-        assert_eq!(out.outcome.source, RetrievalSource::Ground);
-        assert_eq!(out.attempts, 0);
-        assert_eq!(out.degraded, Some(DegradeReason::DeadZone));
+        assert_eq!(fetched.outcome.unwrap().source, RetrievalSource::Ground);
+        assert_eq!(fetched.attempts, 0);
+        assert_eq!(fetched.degraded, Some(DegradeReason::DeadZone));
     }
 
     #[test]
     fn reroutes_around_links_dead_since_warm() {
         // Content placed on the pristine fleet; by fetch time the direct
-        // corridor to the copy is gone. The resilient fetch must detour
+        // corridor to the copy is gone. The graceful fetch must detour
         // over the surviving mesh instead of failing.
         let c = Constellation::new(shells::starlink_shell1());
         let user = Geodetic::ground(48.1, 11.6);
@@ -1058,9 +646,9 @@ mod tests {
         let copy = c.sat_at(c.plane_of(overhead) as i64 + 2, c.slot_of(overhead) as i64);
         let caches: BTreeSet<_> = [copy].into_iter().collect();
         let access = AccessModel::default();
-        let cfg = rcfg(&[1, 3, 5, 10], 250.0);
-        let before = retrieve_resilient(&g0, &access, user, &caches, &cfg, None);
-        assert_eq!(before.outcome.source, RetrievalSource::Isl { hops: 2 });
+        let ladder = [1, 3, 5, 10];
+        let (before, _) = graceful(&g0, &access, user, &caches, &ladder, 250.0);
+        assert_eq!(before.source, RetrievalSource::Isl { hops: 2 });
 
         // Kill every link of the satellite between overhead and the copy.
         let between = c.sat_at(c.plane_of(overhead) as i64 + 1, c.slot_of(overhead) as i64);
@@ -1069,17 +657,17 @@ mod tests {
             faults.fail_link(between, e.to);
         }
         let g = IslGraph::build(&c, SimTime::EPOCH, &faults);
-        let after = retrieve_resilient(&g, &access, user, &caches, &cfg, None);
+        let (after, fetched) = graceful(&g, &access, user, &caches, &ladder, 250.0);
         // Still served from space — via a longer detour.
-        assert_eq!(after.outcome.serving_sat, Some(copy));
-        assert_eq!(after.degraded, None);
+        assert_eq!(after.serving_sat, Some(copy));
+        assert_eq!(fetched.degraded, None);
         let (RetrievalSource::Isl { hops: h0 }, RetrievalSource::Isl { hops: h1 }) =
-            (before.outcome.source, after.outcome.source)
+            (before.source, after.source)
         else {
             panic!("both fetches must be ISL-served");
         };
         assert!(h1 > h0, "detour must cost extra hops ({h1} vs {h0})");
-        assert!(after.outcome.rtt >= before.outcome.rtt);
+        assert!(after.rtt >= before.rtt);
     }
 
     #[test]
@@ -1095,17 +683,17 @@ mod tests {
         // the overhead sat any more, but it can still *source* the object
         // over its ISLs to the new overhead satellite.
         let caches: BTreeSet<_> = [overhead].into_iter().collect();
-        let out = retrieve_resilient(
+        let (out, fetched) = graceful(
             &g,
             &AccessModel::default(),
             user,
             &caches,
-            &rcfg(&[1, 3, 5, 10], 250.0),
-            None,
+            &[1, 3, 5, 10],
+            250.0,
         );
-        assert_eq!(out.outcome.serving_sat, Some(overhead));
-        assert!(matches!(out.outcome.source, RetrievalSource::Isl { .. }));
-        assert_eq!(out.degraded, None);
+        assert_eq!(out.serving_sat, Some(overhead));
+        assert!(matches!(out.source, RetrievalSource::Isl { .. }));
+        assert_eq!(fetched.degraded, None);
     }
 
     #[test]
@@ -1118,7 +706,7 @@ mod tests {
         for d in 0..6i64 {
             let sat = c.sat_at(c.plane_of(overhead) as i64 + d, c.slot_of(overhead) as i64);
             let caches: BTreeSet<_> = [sat].into_iter().collect();
-            let out = retrieve(&g, &access, user, &caches, &cfg(20), None).unwrap();
+            let out = plain(&g, &access, user, &caches, 20);
             assert!(
                 out.rtt.ms() >= last - 1e-9,
                 "rtt must grow with distance: {} after {last}",
@@ -1126,18 +714,6 @@ mod tests {
             );
             last = out.rtt.ms();
         }
-    }
-
-    #[test]
-    fn request_defaults_match_resilient_defaults() {
-        let req = RetrievalRequest::new(Geodetic::ground(0.0, 0.0));
-        let legacy = ResilientRetrievalConfig::default();
-        assert_eq!(req.escalation, legacy.escalation);
-        assert_eq!(
-            req.ground_fallback_rtt.ms().to_bits(),
-            legacy.ground_fallback_rtt.ms().to_bits()
-        );
-        assert!(req.graceful);
     }
 
     #[test]

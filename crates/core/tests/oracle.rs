@@ -17,8 +17,8 @@
 //! skew a campaign artefact.
 
 use spacecdn_core::{
-    DegradeReason, LsnNetwork, ResilientOutcome, ResilientRetrievalConfig, RetrievalConfig,
-    RetrievalOutcome, RetrievalRequest, RetrievalSource,
+    DegradeReason, FetchResult, LsnNetwork, RetrievalOutcome, RetrievalRequest, RetrievalSource,
+    Scenario,
 };
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Ecef, Geodetic, Km, Latency, SimDuration, SimTime};
@@ -211,15 +211,45 @@ fn ref_tables(g: &RefGraph, src: SatIndex) -> (Vec<(f64, u32)>, Vec<u32>) {
     (km, hops)
 }
 
+/// Policy of a reference single-attempt fetch.
+struct PlainConfig {
+    max_isl_hops: u32,
+    ground_fallback_rtt: Latency,
+}
+
+/// Policy of a reference escalation-ladder fetch.
+struct LadderConfig {
+    escalation: Vec<u32>,
+    ground_fallback_rtt: Latency,
+}
+
+/// A resolved reference ladder fetch: always an outcome, plus the rungs
+/// tried and the degrade reason.
+struct LadderOutcome {
+    outcome: RetrievalOutcome,
+    attempts: u32,
+    degraded: Option<DegradeReason>,
+}
+
+/// The user-link RTT: one jitter draw from `rng`, or the median.
+fn ref_user_link(access: &AccessModel, up_slant: Km, rng: Option<&mut DetRng>) -> Latency {
+    match rng {
+        Some(r) => access.user_link_rtt_sample(up_slant, r),
+        None => access.user_link_rtt_median(up_slant),
+    }
+}
+
 /// Reference Fig-6 retrieval: overhead hit → latency-optimal copy within
 /// the BFS hop budget → ground fallback, computed entirely from the
-/// reference graph and tables.
+/// reference graph and tables. Jitter is drawn from `rng` only when the
+/// overhead satellite or an in-budget copy can serve.
 fn ref_retrieve(
     g: &RefGraph,
     access: &AccessModel,
     user: Geodetic,
     caches: &BTreeSet<SatIndex>,
-    config: &RetrievalConfig,
+    config: &PlainConfig,
+    rng: Option<&mut DetRng>,
 ) -> Option<RetrievalOutcome> {
     let (overhead, up_slant) = ref_nearest_servable(g, user)?;
     let overhead_hit = caches.contains(&overhead) && g.alive[overhead.as_usize()];
@@ -250,7 +280,7 @@ fn ref_retrieve(
     };
 
     if let Some((serving, space_cost, bfs_hops)) = best {
-        let rtt = access.user_link_rtt_median(up_slant) + space_cost;
+        let rtt = ref_user_link(access, up_slant, rng) + space_cost;
         if rtt <= config.ground_fallback_rtt {
             let source = if bfs_hops == 0 {
                 RetrievalSource::Overhead
@@ -272,16 +302,18 @@ fn ref_retrieve(
 }
 
 /// Reference resilient retrieval: the escalation ladder replayed over the
-/// reference tables, with the same always-an-outcome contract.
+/// reference tables, with the same always-an-outcome contract. Jitter is
+/// drawn from `rng` exactly once whenever a satellite is overhead.
 fn ref_retrieve_resilient(
     g: &RefGraph,
     access: &AccessModel,
     user: Geodetic,
     caches: &BTreeSet<SatIndex>,
-    config: &ResilientRetrievalConfig,
-) -> ResilientOutcome {
+    config: &LadderConfig,
+    rng: Option<&mut DetRng>,
+) -> LadderOutcome {
     let Some((overhead, up_slant)) = ref_nearest_servable(g, user) else {
-        return ResilientOutcome {
+        return LadderOutcome {
             outcome: RetrievalOutcome {
                 source: RetrievalSource::Ground,
                 rtt: config.ground_fallback_rtt,
@@ -291,11 +323,11 @@ fn ref_retrieve_resilient(
             degraded: Some(DegradeReason::DeadZone),
         };
     };
-    let user_link = access.user_link_rtt_median(up_slant);
+    let user_link = ref_user_link(access, up_slant, rng);
 
     if caches.contains(&overhead) && g.alive[overhead.as_usize()] {
         if user_link <= config.ground_fallback_rtt {
-            return ResilientOutcome {
+            return LadderOutcome {
                 outcome: RetrievalOutcome {
                     source: RetrievalSource::Overhead,
                     rtt: user_link,
@@ -305,7 +337,7 @@ fn ref_retrieve_resilient(
                 degraded: None,
             };
         }
-        return ResilientOutcome {
+        return LadderOutcome {
             outcome: RetrievalOutcome {
                 source: RetrievalSource::Ground,
                 rtt: config.ground_fallback_rtt,
@@ -354,7 +386,7 @@ fn ref_retrieve_resilient(
         any_in_budget = true;
         let rtt = user_link + space_cost;
         if rtt <= config.ground_fallback_rtt {
-            return ResilientOutcome {
+            return LadderOutcome {
                 outcome: RetrievalOutcome {
                     source: RetrievalSource::Isl { hops: bfs_hops },
                     rtt,
@@ -365,7 +397,7 @@ fn ref_retrieve_resilient(
             };
         }
     }
-    ResilientOutcome {
+    LadderOutcome {
         outcome: RetrievalOutcome {
             source: RetrievalSource::Ground,
             rtt: config.ground_fallback_rtt,
@@ -398,7 +430,7 @@ struct Coverage {
 }
 
 impl Coverage {
-    fn record(&mut self, r: &ResilientOutcome) {
+    fn record(&mut self, r: &LadderOutcome) {
         match r.outcome.source {
             RetrievalSource::Overhead => self.overhead += 1,
             RetrievalSource::Isl { .. } => self.isl += 1,
@@ -499,7 +531,7 @@ fn check_case(
     } else {
         Latency::from_ms(rng.uniform(40.0, 200.0))
     };
-    let cfg = RetrievalConfig {
+    let cfg = PlainConfig {
         max_isl_hops: budget,
         ground_fallback_rtt: ground,
     };
@@ -509,7 +541,7 @@ fn check_case(
         .graceful(false)
         .execute(graph, access, &caches, None)
         .outcome;
-    let want = ref_retrieve(&reference, access, user, &caches, &cfg);
+    let want = ref_retrieve(&reference, access, user, &caches, &cfg, None);
     match (&got, &want) {
         (None, None) => {}
         (Some(g), Some(w)) => {
@@ -535,7 +567,7 @@ fn check_case(
         &[3, 6, 12],
         &[1, 2, 3, 4, 5],
     ];
-    let rcfg = ResilientRetrievalConfig {
+    let rcfg = LadderConfig {
         escalation: ladders[rng.index(ladders.len())].to_vec(),
         ground_fallback_rtt: ground,
     };
@@ -543,12 +575,12 @@ fn check_case(
         .escalation(rcfg.escalation.clone())
         .ground_fallback(ground)
         .execute(graph, access, &caches, None);
-    let got = ResilientOutcome {
+    let got = LadderOutcome {
         outcome: fetched.outcome.expect("graceful fetch always resolves"),
         attempts: fetched.attempts,
         degraded: fetched.degraded,
     };
-    let want = ref_retrieve_resilient(&reference, access, user, &caches, &rcfg);
+    let want = ref_retrieve_resilient(&reference, access, user, &caches, &rcfg, None);
     assert_eq!(got.attempts, want.attempts, "{label}: attempts diverge");
     assert_eq!(
         got.degraded, want.degraded,
@@ -570,7 +602,7 @@ fn check_case(
     coverage.record(&got);
 
     // 5. A single-rung ladder must collapse to plain `retrieve` exactly.
-    let single = ResilientRetrievalConfig {
+    let single = LadderConfig {
         escalation: vec![budget.max(1)],
         ground_fallback_rtt: ground,
     };
@@ -596,6 +628,135 @@ fn check_case(
             "{label}: only a dead zone may make a non-graceful fetch miss"
         ),
     }
+
+    // 6. Steps 3–5 again with paired fresh jitter streams (same seed and
+    // label on every path): RTT bits pin the drawn values, and each
+    // stream's position afterwards pins how many draws a path made.
+    let stream = format!("oracle/jitter/{label}");
+    let fresh = || DetRng::new(JITTER_SEED, &stream);
+    let plain_req = RetrievalRequest::new(user)
+        .hop_budget(budget)
+        .ground_fallback(ground)
+        .graceful(false);
+    let ladder_req = RetrievalRequest::new(user)
+        .escalation(rcfg.escalation.clone())
+        .ground_fallback(ground);
+
+    let (mut r_ref, mut r_got) = (fresh(), fresh());
+    let want = ref_retrieve(&reference, access, user, &caches, &cfg, Some(&mut r_ref));
+    let got = plain_req.execute(graph, access, &caches, Some(&mut r_got));
+    assert_outcome_bits(&format!("{label}: jittered plain"), &got.outcome, &want);
+    assert_same_draws(&format!("{label}: jittered plain"), &mut r_got, &mut r_ref);
+
+    let (mut r_ref, mut r_got) = (fresh(), fresh());
+    let want = ref_retrieve_resilient(&reference, access, user, &caches, &rcfg, Some(&mut r_ref));
+    let got = ladder_req.execute(graph, access, &caches, Some(&mut r_got));
+    assert_eq!(
+        got.attempts, want.attempts,
+        "{label}: jittered attempts diverge"
+    );
+    assert_eq!(
+        got.degraded, want.degraded,
+        "{label}: jittered degrade diverges"
+    );
+    assert_outcome_bits(
+        &format!("{label}: jittered ladder"),
+        &got.outcome,
+        &Some(want.outcome),
+    );
+    assert_same_draws(&format!("{label}: jittered ladder"), &mut r_got, &mut r_ref);
+
+    // The modes draw at different points by design, so only the values
+    // (first draw of equal streams) must agree here, not the positions.
+    let collapsed = RetrievalRequest::new(user)
+        .escalation(single.escalation.clone())
+        .ground_fallback(ground)
+        .execute(graph, access, &caches, Some(&mut fresh()));
+    let plain = RetrievalRequest::new(user)
+        .hop_budget(budget.max(1))
+        .ground_fallback(ground)
+        .graceful(false)
+        .execute(graph, access, &caches, Some(&mut fresh()))
+        .outcome;
+    if plain.is_some() {
+        assert_outcome_bits(
+            &format!("{label}: jittered single rung"),
+            &collapsed.outcome,
+            &plain,
+        );
+    }
+
+    // 7. The Scenario leg: a session over the same schedule, epoch and
+    // copies must resolve `fetch_user` exactly like the direct request,
+    // in both modes, jitter stream included.
+    for req in [plain_req, ladder_req] {
+        let net = LsnNetwork::new(
+            Constellation::new(*c.config()),
+            Vec::new(),
+            *access,
+            FiberModel::default(),
+        );
+        let mut session = Scenario::builder(net)
+            .schedule(schedule.clone())
+            .copies(caches.clone())
+            .escalation(req.escalation.clone())
+            .ground_fallback(ground)
+            .graceful(req.graceful)
+            .build();
+        session.advance_to(t);
+        let label = format!("{label}: scenario (graceful {})", req.graceful);
+        let (mut r_direct, mut r_session) = (fresh(), fresh());
+        let direct = req.execute(graph, access, &caches, Some(&mut r_direct));
+        let via_session = session.fetch_user(user, Some(&mut r_session));
+        assert_fetch_bits(&label, &via_session, &direct);
+        assert_same_draws(&label, &mut r_session, &mut r_direct);
+    }
+}
+
+/// Seed of the paired jitter streams in step 6 of [`check_case`].
+const JITTER_SEED: u64 = 77;
+
+/// Bitwise comparison of two optional outcomes, labelled for diagnosis.
+fn assert_outcome_bits(
+    label: &str,
+    got: &Option<RetrievalOutcome>,
+    want: &Option<RetrievalOutcome>,
+) {
+    match (got, want) {
+        (None, None) => {}
+        (Some(g), Some(w)) => {
+            assert_eq!(g.source, w.source, "{label}: source diverges");
+            assert_eq!(
+                g.serving_sat, w.serving_sat,
+                "{label}: serving sat diverges"
+            );
+            assert_eq!(
+                g.rtt.0.to_bits(),
+                w.rtt.0.to_bits(),
+                "{label}: RTT bits diverge ({} vs {})",
+                g.rtt,
+                w.rtt
+            );
+        }
+        _ => panic!("{label}: outcome existence diverges: {got:?} vs {want:?}"),
+    }
+}
+
+/// Bitwise comparison of two fetch results: outcome, attempts and reason.
+fn assert_fetch_bits(label: &str, got: &FetchResult, want: &FetchResult) {
+    assert_eq!(got.attempts, want.attempts, "{label}: attempts diverge");
+    assert_eq!(got.degraded, want.degraded, "{label}: degrade diverges");
+    assert_outcome_bits(label, &got.outcome, &want.outcome);
+}
+
+/// Two jitter streams seeded alike sit at the same position after their
+/// fetches exactly when both paths drew the same number of times.
+fn assert_same_draws(label: &str, got: &mut DetRng, want: &mut DetRng) {
+    assert_eq!(
+        got.unit().to_bits(),
+        want.unit().to_bits(),
+        "{label}: jitter draw counts diverge"
+    );
 }
 
 /// The main sweep: ≥500 randomized (shell × schedule × epoch) cases, each

@@ -496,6 +496,7 @@ mod tests {
 
     #[test]
     fn span_timer_records_only_when_enabled() {
+        let _globals = crate::registry::lock_globals_for_test();
         static TIMED: LazyHistogram = LazyHistogram::racy("telemetry.test.timer_ns", Unit::Nanos);
         crate::set_metrics_override(Some(false));
         drop(TIMED.timer());

@@ -306,6 +306,17 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// Serialises the unit tests that touch the process-wide registry or the
+/// metrics override, so one test's writes never land between another's
+/// reads.
+#[cfg(test)]
+pub(crate) fn lock_globals_for_test() -> std::sync::MutexGuard<'static, ()> {
+    static GLOBALS: Mutex<()> = Mutex::new(());
+    // Poison only means another test failed while holding the lock; the
+    // guarded unit has no state to leave half-updated.
+    GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +324,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
+        let _globals = lock_globals_for_test();
         static B: LazyCounter = LazyCounter::stable("telemetry.test.b_counter");
         static A: LazyCounter = LazyCounter::stable("telemetry.test.a_counter");
         static H: LazyHistogram = LazyHistogram::stable("telemetry.test.hops", Unit::Hops);
@@ -338,6 +350,7 @@ mod tests {
 
     #[test]
     fn stable_fingerprint_excludes_racy_metrics() {
+        let _globals = lock_globals_for_test();
         static STABLE: LazyCounter = LazyCounter::stable("telemetry.test.fp_stable");
         static RACY: LazyCounter = LazyCounter::racy("telemetry.test.fp_racy");
         STABLE.incr();
@@ -349,6 +362,7 @@ mod tests {
 
     #[test]
     fn json_renders_and_escapes() {
+        let _globals = lock_globals_for_test();
         static C: LazyCounter = LazyCounter::stable("telemetry.test.json_counter");
         C.incr();
         let json = snapshot().to_json();
@@ -359,6 +373,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_snapshot_to_json() {
+        let _globals = lock_globals_for_test();
         static C: LazyCounter = LazyCounter::stable("telemetry.test.shared_serializer");
         C.incr();
         assert_eq!(snapshot_json(), snapshot().to_json());

@@ -49,16 +49,13 @@ pub use spacecdn_serve as serve;
 pub use spacecdn_telemetry as telemetry;
 pub use spacecdn_terra as terra;
 
-/// The post-redesign surface in one import: `use spacecdn_suite::prelude::*;`.
+/// The everyday surface in one import: `use spacecdn_suite::prelude::*;`.
 ///
-/// Everything here is the *current* API — the unified
-/// [`RetrievalRequest`](crate::core::retrieval::RetrievalRequest) /
-/// [`Scenario`](crate::core::scenario::Scenario) retrieval path, the
-/// steady-state traffic engine and its campaign, and the units, RNG and
-/// network types they take. The deprecated free-function shims
-/// (`retrieve`, `retrieve_resilient`, `retrieve_multishell`) are
-/// intentionally absent: code written against the prelude cannot reach
-/// them by accident.
+/// It holds the single-request fetch path —
+/// [`RetrievalRequest`](crate::core::retrieval::RetrievalRequest), run
+/// directly or through a [`Scenario`](crate::core::scenario::Scenario)
+/// session — plus the steady-state traffic engine and its campaign, and
+/// the units, RNG and network types they take.
 pub mod prelude {
     pub use spacecdn_content::cache::{Cache, CacheStats, LruCache};
     pub use spacecdn_content::catalog::{Catalog, ContentId};
@@ -70,8 +67,7 @@ pub mod prelude {
     pub use spacecdn_core::network::{LsnNetwork, LsnSnapshot, PathBreakdown};
     pub use spacecdn_core::placement::{PlacementPlan, PlacementSpec, PlacementStrategy};
     pub use spacecdn_core::retrieval::{
-        DegradeReason, FetchResult, ResilientOutcome, RetrievalOutcome, RetrievalRequest,
-        RetrievalSource,
+        DegradeReason, FetchResult, RetrievalOutcome, RetrievalRequest, RetrievalSource,
     };
     pub use spacecdn_core::scenario::{Scenario, ScenarioBuilder};
     pub use spacecdn_core::traffic::{
