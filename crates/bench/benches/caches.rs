@@ -1,17 +1,21 @@
-//! Micro-benchmarks of the cache policies under Zipf-shaped churn.
+//! Micro-benchmarks of the cache fleets under Zipf-shaped churn: one
+//! steady-state `PolicyFleet` get/insert bench per policy.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use spacecdn_content::cache::{Cache, FifoCache, LfuCache, LruCache};
 use spacecdn_content::catalog::ContentId;
+use spacecdn_content::policy::{PolicyFleet, PolicyKind};
 use spacecdn_content::popularity::ZipfSampler;
-use spacecdn_geo::DetRng;
+use spacecdn_geo::{DetRng, SimDuration};
 
-fn churn(cache: &mut dyn Cache, ops: &[(ContentId, u64, bool)]) {
+/// Replay the op mix against satellite slot 0. The clock never advances,
+/// so no entry expires and every departure is a capacity eviction.
+fn churn(fleet: &mut PolicyFleet, ops: &[(ContentId, u64, bool)], evicted: &mut Vec<ContentId>) {
     for &(id, size, is_insert) in ops {
         if is_insert {
-            cache.insert(id, size);
+            evicted.clear();
+            fleet.insert_collect(0, id, size, evicted);
         } else {
-            cache.get(id);
+            fleet.get(0, id);
         }
     }
 }
@@ -27,29 +31,20 @@ fn bench_caches(c: &mut Criterion) {
         })
         .collect();
 
-    c.bench_function("lru_10k_ops_zipf", |b| {
-        b.iter(|| {
-            let mut cache = LruCache::new(200_000_000);
-            churn(black_box(&mut cache), &ops);
-            cache.len()
-        })
-    });
-
-    c.bench_function("lfu_10k_ops_zipf", |b| {
-        b.iter(|| {
-            let mut cache = LfuCache::new(200_000_000);
-            churn(black_box(&mut cache), &ops);
-            cache.len()
-        })
-    });
-
-    c.bench_function("fifo_10k_ops_zipf", |b| {
-        b.iter(|| {
-            let mut cache = FifoCache::new(200_000_000);
-            churn(black_box(&mut cache), &ops);
-            cache.len()
-        })
-    });
+    for kind in PolicyKind::ALL {
+        // Warm once outside the timed loop so every iteration runs
+        // against a full cache: hits, misses and evictions at their
+        // steady-state mix rather than a cold fill.
+        let mut fleet = PolicyFleet::new(kind, 1, 200_000_000, SimDuration::from_secs(3600));
+        let mut evicted = Vec::new();
+        churn(&mut fleet, &ops, &mut evicted);
+        c.bench_function(&format!("{}_10k_ops_zipf", kind.name()), |b| {
+            b.iter(|| {
+                churn(black_box(&mut fleet), &ops, &mut evicted);
+                fleet.len()
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_caches);

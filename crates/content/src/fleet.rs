@@ -1,31 +1,22 @@
 //! Flat structure-of-arrays cache fleet: every satellite's LRU+TTL cache
 //! in parallel vectors.
 //!
-//! The traffic engine used to keep a `HashMap<SatIndex, TtlCache<LruCache>>`
-//! per shard — thousands of small heap-allocated maps and B-trees, two
-//! hash lookups and a `BTreeMap` rebalance per touch. [`FleetCache`] is
-//! the same semantics laid out flat, mirroring what the CSR rebuild did
-//! for routing: per-satellite list heads and byte counters are plain
-//! vectors indexed by satellite slot, entries live in one shared arena of
-//! parallel vectors (content id, size, expiry, intrusive LRU links), and
-//! a single `(satellite, content) → entry` hash index serves the whole
-//! fleet. One allocation-free doubly linked list per satellite replaces
-//! one `BTreeMap` per satellite.
+//! Per-satellite list heads and byte counters are plain vectors indexed by
+//! satellite slot, entries live in one shared arena of parallel vectors
+//! (content id, size, expiry, intrusive LRU links), and a single
+//! `(satellite, content) → entry` hash index serves the whole fleet. One
+//! allocation-free doubly linked list per satellite gives O(1) touch and
+//! eviction. The expiry lives *in* the entry, so an eviction drops it
+//! atomically and `expired_purges` only ever counts real TTL lapses.
 //!
-//! Behaviour is pinned to the wrapped policy it replaces
-//! (`TtlCache<LruCache>`): the same hit/miss/evict/expire decisions and
-//! the same counter movements on every operation, proven by the
-//! differential proptests below. One deliberate divergence: the legacy
-//! stack leaks an expiry record when LRU pressure evicts an entry (the
-//! wrapper never learns about inner evictions), so a later touch of that
-//! id can count a spurious `expired_purges`. The fleet stores the expiry
-//! *in* the entry, so eviction drops it atomically and the counter only
-//! ever counts real TTL lapses. The tight-capacity proptest encodes
-//! exactly this relaxation (`fleet ≤ legacy`); with no evictions the
-//! counters are equal.
+//! Behaviour is pinned decision-for-decision to a naive reference by
+//! `tests/policy_oracle.rs`. Besides the traffic engine's satellite
+//! fleets, [`FleetCache`] is the byte-capacity LRU under the ground
+//! [`crate::hierarchy::CacheHierarchy`] and the content bubbles of
+//! `spacecdn-core`, which run it with [`FleetCache::NO_EXPIRY`].
 
-use crate::cache::CacheStats;
 use crate::catalog::ContentId;
+use crate::policy::CacheStats;
 use spacecdn_geo::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -76,8 +67,8 @@ type SlotIndex = HashMap<(u32, ContentId), u32, BuildHasherDefault<SlotHasher>>;
 /// Satellites are addressed by a dense `u32` slot (the traffic engine
 /// uses shell-offset global indices); all satellites share one byte
 /// capacity and one TTL. The clock is fleet-global and monotone
-/// ([`FleetCache::set_now`]), which is equivalent to the per-cache clocks
-/// it replaces because simulation event times never decrease.
+/// ([`FleetCache::set_now`]); simulation event times never decrease, so
+/// one clock serves every satellite.
 pub struct FleetCache {
     sat_capacity: u64,
     ttl: SimDuration,
@@ -101,6 +92,11 @@ pub struct FleetCache {
 }
 
 impl FleetCache {
+    /// TTL for fleets that never call [`FleetCache::set_now`]: their clock
+    /// stays at [`SimTime::EPOCH`], so no entry can lapse and the fleet is
+    /// a plain byte-capacity LRU.
+    pub const NO_EXPIRY: SimDuration = SimDuration(u64::MAX / 2);
+
     /// A fleet of `sats` empty caches, each with `capacity_bytes` and
     /// entries expiring `ttl` after insertion.
     ///
@@ -272,7 +268,7 @@ impl FleetCache {
         self.now >= self.e_expiry[e as usize]
     }
 
-    // -- cache operations (TtlCache<LruCache>-equivalent) ------------------
+    // -- cache operations ---------------------------------------------------
 
     /// Freshness check that reclaims: an entry found expired is purged and
     /// counted; a live entry is left untouched (no recency bump, no
@@ -356,8 +352,8 @@ impl FleetCache {
             }
         }
         if size > self.sat_capacity {
-            // Mirrors LruCache: the oversize check precedes the refresh
-            // path, so an oversized re-insert rejects without refreshing.
+            // The oversize check precedes the refresh path, so an
+            // oversized re-insert rejects without refreshing.
             return false;
         }
         if let Some(e) = self.slot(sat, content) {
@@ -421,9 +417,6 @@ impl FleetCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{Cache, LruCache};
-    use crate::ttl::TtlCache;
-    use proptest::prelude::*;
 
     fn id(n: u64) -> ContentId {
         ContentId(n)
@@ -538,168 +531,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_ttl_panics() {
         let _ = FleetCache::new(1, 100, SimDuration::ZERO);
-    }
-
-    // -- differential proptests vs. the legacy map-of-wrappers stack -------
-
-    /// One randomized operation against both stacks.
-    #[derive(Debug, Clone)]
-    enum Op {
-        Get(u32, u64),
-        Insert(u32, u64, u64),
-        IsFresh(u32, u64),
-        Remove(u32, u64),
-        Clear(u32),
-        Advance(u64),
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        let sat = 0..4u32;
-        let obj = 0..12u64;
-        prop_oneof![
-            (sat.clone(), obj.clone()).prop_map(|(s, o)| Op::Get(s, o)),
-            (sat.clone(), obj.clone(), 1..400u64).prop_map(|(s, o, z)| Op::Insert(s, o, z)),
-            (sat.clone(), obj.clone()).prop_map(|(s, o)| Op::IsFresh(s, o)),
-            (sat.clone(), obj.clone()).prop_map(|(s, o)| Op::Remove(s, o)),
-            sat.prop_map(Op::Clear),
-            (1..40u64).prop_map(Op::Advance),
-        ]
-    }
-
-    /// Drive the same op sequence through [`FleetCache`] and the legacy
-    /// `HashMap<sat, TtlCache<LruCache>>`, asserting identical returns and
-    /// identical state after every step. With ample capacity (no
-    /// evictions) every counter matches exactly, `expired_purges`
-    /// included; under eviction pressure the legacy stack's stale expiry
-    /// records make its purge counter an overcount, so there the fleet
-    /// must only never exceed it.
-    fn run_differential(ops: Vec<Op>, cap: u64, exact_purges: bool) {
-        let ttl = SimDuration::from_secs(60);
-        let mut f = FleetCache::new(4, cap, ttl);
-        let mut legacy: HashMap<u32, TtlCache<LruCache>> = HashMap::new();
-        let mut now = SimTime::EPOCH;
-        fn reference(
-            legacy: &mut HashMap<u32, TtlCache<LruCache>>,
-            s: u32,
-            cap: u64,
-            ttl: SimDuration,
-        ) -> &mut TtlCache<LruCache> {
-            legacy
-                .entry(s)
-                .or_insert_with(|| TtlCache::new(LruCache::new(cap), ttl))
-        }
-
-        for op in ops {
-            match op {
-                Op::Advance(secs) => {
-                    now += SimDuration::from_secs(secs);
-                    f.set_now(now);
-                    for c in legacy.values_mut() {
-                        c.set_now(now);
-                    }
-                }
-                Op::Get(s, o) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(f.get(s, ContentId(o)), r.get(ContentId(o)), "get {s}/{o}");
-                }
-                Op::Insert(s, o, z) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(
-                        f.insert(s, ContentId(o), z),
-                        r.insert(ContentId(o), z),
-                        "insert {s}/{o}/{z}"
-                    );
-                }
-                Op::IsFresh(s, o) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(
-                        f.is_fresh(s, ContentId(o)),
-                        r.is_fresh(ContentId(o)),
-                        "is_fresh {s}/{o}"
-                    );
-                }
-                Op::Remove(s, o) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(
-                        f.remove(s, ContentId(o)),
-                        r.remove(ContentId(o)),
-                        "remove {s}/{o}"
-                    );
-                }
-                Op::Clear(s) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    let n = f.clear_sat(s, &mut Vec::new());
-                    assert_eq!(n as usize, r.len(), "clear {s}");
-                    r.clear();
-                }
-            }
-            // Per-satellite state must agree after every operation.
-            for s in 0..4u32 {
-                let (len, used) = legacy.get(&s).map_or((0, 0), |c| (c.len(), c.used_bytes()));
-                assert_eq!(f.len_of(s), len, "len of sat {s}");
-                assert_eq!(f.used_bytes_of(s), used, "bytes of sat {s}");
-                for o in 0..12u64 {
-                    assert_eq!(
-                        f.contains(s, ContentId(o)),
-                        legacy.get(&s).is_some_and(|c| c.contains(ContentId(o))),
-                        "contains {s}/{o}"
-                    );
-                }
-            }
-            // Aggregate counters must agree — every field of the unified
-            // taxonomy, not just hits/misses/evictions. The legacy stack's
-            // `stats()` reclassifies only purges that really dropped an
-            // entry, so its expirations match the fleet's even when stale
-            // expiry records inflate its `expired_purges` attempt counter.
-            let mut want = CacheStats::default();
-            for c in legacy.values() {
-                let s = c.stats();
-                want.hits += s.hits;
-                want.misses += s.misses;
-                want.gets += s.gets;
-                want.inserts += s.inserts;
-                want.evictions += s.evictions;
-                want.expirations += s.expirations;
-                want.invalidations += s.invalidations;
-            }
-            assert_eq!(f.stats(), want, "aggregate stats");
-            // Books balance on the fleet side after every step.
-            assert_eq!(
-                f.stats().departures(),
-                f.stats().inserts - f.len() as u64,
-                "taxonomy reconciliation"
-            );
-            let legacy_purges: u64 = legacy.values().map(|c| c.expired_purges()).sum();
-            if exact_purges {
-                assert_eq!(f.expired_purges(), legacy_purges, "purge counter");
-            } else {
-                assert!(
-                    f.expired_purges() <= legacy_purges,
-                    "fleet over-counts purges: {} > {legacy_purges}",
-                    f.expired_purges()
-                );
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn differential_ample_capacity(ops in prop::collection::vec(op_strategy(), 1..120)) {
-            // No evictions possible: full trace equality, purges included.
-            run_differential(ops, 1 << 30, true);
-        }
-
-        #[test]
-        fn differential_tight_capacity(ops in prop::collection::vec(op_strategy(), 1..120)) {
-            // ~2 median objects per satellite: heavy eviction churn.
-            run_differential(ops, 500, false);
-        }
     }
 }

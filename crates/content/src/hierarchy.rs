@@ -10,8 +10,9 @@
 //! WAN-cost accounting (§2: "cache miss rates and content fetches over WANs
 //! are high for these \[LSN\] users").
 
-use crate::cache::{Cache, CacheStats, LruCache};
 use crate::catalog::{Catalog, ContentId};
+use crate::fleet::FleetCache;
+use crate::policy::CacheStats;
 use serde::Serialize;
 use spacecdn_geo::Latency;
 
@@ -109,14 +110,16 @@ pub struct HierarchyOutcome {
 
 /// A two-level cache tree with an origin: many edges per regional.
 ///
-/// Accounting lives entirely in the per-tier [`CacheStats`] the caches
-/// already keep (the same taxonomy as the satellite policy fleets): every
-/// request is one `get` against an edge, so edge gets = requests, edge
-/// hits = edge-served, regional hits = regional-served, and regional
-/// misses = origin fetches. There are no side counters to drift.
+/// Each tier is one LRU [`FleetCache`] (`edges` has one slot per edge,
+/// `regional` a single slot); two fleets because a fleet has one
+/// capacity. Accounting lives entirely in the per-tier [`CacheStats`] the
+/// fleets already keep: every request is one `get` against an edge, so
+/// edge gets = requests, edge hits = edge-served, regional hits =
+/// regional-served, and regional misses = origin fetches. There are no
+/// side counters to drift.
 pub struct CacheHierarchy {
-    edges: Vec<LruCache>,
-    regional: LruCache,
+    edges: FleetCache,
+    regional: FleetCache,
     latencies: TierLatencies,
     /// Bytes fetched over the regional↔origin WAN (the cost §2 worries
     /// about).
@@ -137,8 +140,8 @@ impl CacheHierarchy {
     ) -> Self {
         assert!(edge_count > 0, "hierarchy needs at least one edge");
         CacheHierarchy {
-            edges: (0..edge_count).map(|_| LruCache::new(edge_bytes)).collect(),
-            regional: LruCache::new(regional_bytes),
+            edges: FleetCache::new(edge_count, edge_bytes, FleetCache::NO_EXPIRY),
+            regional: FleetCache::new(1, regional_bytes, FleetCache::NO_EXPIRY),
             latencies,
             wan_bytes: 0,
         }
@@ -146,7 +149,7 @@ impl CacheHierarchy {
 
     /// Number of edge caches.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edges.sat_count()
     }
 
     /// Resolve a request arriving at edge `edge_idx` (mod edge count).
@@ -159,25 +162,25 @@ impl CacheHierarchy {
         catalog: &Catalog,
     ) -> HierarchyOutcome {
         let size = catalog.get(id).map(|o| o.size_bytes).unwrap_or(0);
-        let idx = edge_idx % self.edges.len();
+        let edge = (edge_idx % self.edges.sat_count()) as u32;
         let l = self.latencies;
 
-        if self.edges[idx].get(id) {
+        if self.edges.get(edge, id) {
             return HierarchyOutcome {
                 served_by: ServedBy::Edge,
                 rtt: l.to_edge,
             };
         }
-        if self.regional.get(id) {
-            self.edges[idx].insert(id, size);
+        if self.regional.get(0, id) {
+            self.edges.insert(edge, id, size);
             return HierarchyOutcome {
                 served_by: ServedBy::Regional,
                 rtt: l.to_edge + l.edge_to_regional,
             };
         }
         self.wan_bytes += size;
-        self.regional.insert(id, size);
-        self.edges[idx].insert(id, size);
+        self.regional.insert(0, id, size);
+        self.edges.insert(edge, id, size);
         HierarchyOutcome {
             served_by: ServedBy::Origin,
             rtt: l.to_edge + l.edge_to_regional + l.regional_to_origin,
@@ -187,18 +190,7 @@ impl CacheHierarchy {
     /// Aggregate [`CacheStats`] over all edge caches (edge `gets` is the
     /// total request count the hierarchy has seen).
     pub fn edge_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::default();
-        for e in &self.edges {
-            let s = e.stats();
-            agg.hits += s.hits;
-            agg.misses += s.misses;
-            agg.gets += s.gets;
-            agg.inserts += s.inserts;
-            agg.evictions += s.evictions;
-            agg.expirations += s.expirations;
-            agg.invalidations += s.invalidations;
-        }
-        agg
+        self.edges.stats()
     }
 
     /// [`CacheStats`] of the regional parent (its `misses` are exactly the
@@ -324,10 +316,7 @@ mod tests {
             n
         );
         // Departures reconcile: inserts - len = departures, per tier.
-        assert_eq!(
-            edge.departures(),
-            edge.inserts - h.edges.iter().map(|e| e.len() as u64).sum::<u64>()
-        );
+        assert_eq!(edge.departures(), edge.inserts - h.edges.len() as u64);
         assert_eq!(
             regional.departures(),
             regional.inserts - h.regional.len() as u64

@@ -9,14 +9,13 @@
 //!   paper's "content bubbles" observation (§5) is that demand skew is
 //!   *geographic*: a Boca Juniors match is hot in Argentina and cold in
 //!   Finland;
-//! - **cache policies** ([`cache`]): LRU, LFU, FIFO and TTL-wrapped
-//!   variants behind one trait, byte-capacity-accurate, with hit/miss
-//!   accounting;
-//! - the **fleet policy zoo** ([`policy`]): constellation-scale flat-SoA
+//! - the **fleet policy zoo** ([`policy`]): byte-capacity flat-SoA
 //!   cache fleets — LRU+TTL ([`fleet`]), SIEVE ([`sieve`]), S3-FIFO
 //!   ([`s3fifo`]) and W-TinyLFU with count-min admission ([`tinylfu`],
 //!   [`sketch`]) — behind the [`policy::CachePolicy`] trait, sharing one
 //!   entry arena and a unified evicted/expired/invalidated taxonomy;
+//! - the terrestrial **edge → regional → origin tree** ([`hierarchy`]),
+//!   built on the same LRU fleet;
 //! - **video objects** ([`video`]): DASH-style segment groups ("stripes")
 //!   that §4's striping design schedules across successive satellites.
 
@@ -24,7 +23,6 @@
 #![warn(missing_docs)]
 
 mod arena;
-pub mod cache;
 pub mod catalog;
 pub mod fleet;
 pub mod hierarchy;
@@ -34,20 +32,17 @@ pub mod s3fifo;
 pub mod sieve;
 pub mod sketch;
 pub mod tinylfu;
-pub mod ttl;
 pub mod video;
 
-pub use cache::{Cache, CacheStats, FifoCache, LfuCache, LruCache, SlruCache};
 pub use catalog::{Catalog, ContentId, ContentKind, ContentObject, RegionTag};
 pub use fleet::FleetCache;
 pub use hierarchy::{
     CacheHierarchy, HierarchyOutcome, ServedBy, TierLatencies, TierLatenciesBuilder,
 };
-pub use policy::{CachePolicy, PolicyFleet, PolicyKind};
+pub use policy::{CachePolicy, CacheStats, PolicyFleet, PolicyKind};
 pub use popularity::{RegionalPopularity, ZipfSampler};
 pub use s3fifo::S3FifoFleet;
 pub use sieve::SieveFleet;
 pub use sketch::FrequencySketch;
 pub use tinylfu::TinyLfuFleet;
-pub use ttl::TtlCache;
 pub use video::{StripePlanInput, VideoObject};

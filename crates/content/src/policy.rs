@@ -9,7 +9,7 @@
 //!   lookups, TTL purges, exact eviction reporting (the traffic engine
 //!   maintains eager per-content holder lists, so every departure must be
 //!   surfaced), per-policy [`CacheStats`] under the unified
-//!   evicted/expired/invalidated taxonomy;
+//!   evicted/expired/invalidated taxonomy, which this module defines;
 //! - [`PolicyKind`] — the selector wired through `TrafficConfig`,
 //!   `Scenario`, and the serve protocol's `cache` mutation op;
 //! - [`PolicyFleet`] — an enum over the four concrete fleets. The traffic
@@ -21,13 +21,57 @@
 //! shared `EntryArena` and are pinned decision-for-decision
 //! to naive map/VecDeque references in `tests/policy_oracle.rs`.
 
-use crate::cache::CacheStats;
 use crate::catalog::ContentId;
 use crate::fleet::FleetCache;
 use crate::s3fifo::S3FifoFleet;
 use crate::sieve::SieveFleet;
 use crate::tinylfu::TinyLfuFleet;
 use spacecdn_geo::{SimDuration, SimTime};
+
+/// Hit/miss counters shared by all policies.
+///
+/// The departure taxonomy is unified across every policy: an entry leaves
+/// a cache for exactly one of three reasons — **evicted** under capacity
+/// pressure (including admission-filter rejections that drop a window
+/// candidate), **expired** when its TTL lapsed before any probe touched
+/// it, or **invalidated** by an explicit `remove`/`clear_sat`. The books
+/// balance: `hits + misses == gets` and
+/// `evictions + expirations + invalidations == inserts - len`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups that found the object.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Total lookups (incremented independently of hit/miss so the
+    /// `hits + misses == gets` reconciliation is a real check).
+    pub gets: u64,
+    /// New entries admitted (refreshes of an existing entry excluded).
+    pub inserts: u64,
+    /// Objects evicted to make room.
+    pub evictions: u64,
+    /// Objects dropped because their TTL lapsed (any purge path).
+    pub expirations: u64,
+    /// Objects dropped by explicit `remove` or `clear`.
+    pub invalidations: u64,
+}
+
+impl CacheStats {
+    /// Hit ratio in `[0, 1]` (0 when no lookups happened).
+    pub fn hit_ratio(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// All departures: `evictions + expirations + invalidations`.
+    pub fn departures(&self) -> u64 {
+        self.evictions + self.expirations + self.invalidations
+    }
+}
 
 /// Which eviction/admission policy a cache fleet runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -476,6 +520,15 @@ impl CachePolicy for PolicyFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hit_ratio_math() {
+        let mut s = CacheStats::default();
+        assert_eq!(s.hit_ratio(), 0.0);
+        s.hits = 3;
+        s.misses = 1;
+        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
+    }
 
     #[test]
     fn kind_names_round_trip() {

@@ -21,10 +21,9 @@
 //! eagerly correct.
 
 use crate::arena::{meta_set, EntryArena, List, NIL};
-use crate::cache::CacheStats;
 use crate::catalog::ContentId;
 use crate::fleet::SlotHasher;
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, CacheStats};
 use spacecdn_geo::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;

@@ -725,6 +725,17 @@ fn run_trace(kind: PolicyKind, trace: u64, cov: &mut Coverage) {
             oracle.contains(sat, content),
             "{at}: contains"
         );
+        // Breadth: every (sat, object) in the universe agrees, not just
+        // the pair this step touched.
+        for s in 0..sats as u32 {
+            for o in 0..universe {
+                assert_eq!(
+                    fleet.contains(s, ContentId(o)),
+                    oracle.contains(s, ContentId(o)),
+                    "{at}: contains({s}, {o})"
+                );
+            }
+        }
         // Taxonomy invariants hold at every step.
         let st = fleet.stats();
         assert_eq!(st.gets, st.hits + st.misses, "{at}: gets reconcile");

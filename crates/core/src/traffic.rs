@@ -17,8 +17,7 @@
 //! - **Flat SoA cache state.** Per-satellite caches are one
 //!   [`PolicyFleet`] (LRU+TTL, SIEVE, S3-FIFO or W-TinyLFU, selected by
 //!   [`TrafficConfig::policy`]): parallel arrays indexed by a global
-//!   satellite slot with intrusive policy links, replacing a `HashMap` of
-//!   `TtlCache<LruCache>` per satellite (each policy proven
+//!   satellite slot with intrusive policy links (each policy proven
 //!   decision-identical to a naive reference by the differential oracle
 //!   in `spacecdn-content`). Holder lists — which satellites cache each
 //!   object — are maintained *eagerly*: LRU evictions report their

@@ -229,6 +229,11 @@ fn traffic_engine_identical_at_any_thread_count() {
 /// the ground-tier counters and the per-request decision digest across
 /// the parallelism grain.
 fn traffic_placement_fingerprint() -> String {
+    placement_fingerprint("perplane-4:budget-4000:cap-64:coop")
+}
+
+/// [`traffic_placement_fingerprint`] under any placement spec.
+fn placement_fingerprint(spec: &str) -> String {
     use spacecdn_suite::prelude::{
         run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, Geodetic, Latency,
         PlacementSpec, TrafficConfig, TrafficSource,
@@ -240,9 +245,7 @@ fn traffic_placement_fingerprint() -> String {
         epochs: 2,
         catalog_size: 600,
         cache_bytes_per_sat: 256 << 20,
-        placement: Some(
-            PlacementSpec::parse("perplane-4:budget-4000:cap-64:coop").expect("valid spec"),
-        ),
+        placement: Some(PlacementSpec::parse(spec).expect("valid spec")),
         ..TrafficConfig::default()
     };
     let sources: Vec<TrafficSource> = [
@@ -309,6 +312,32 @@ fn placement_traffic_identical_at_any_thread_count() {
         assert_eq!(
             sequential, parallel,
             "placement-enabled traffic diverged at {threads} threads"
+        );
+    }
+}
+
+/// The placement fingerprint with the tiered ground fallback on: every
+/// ground fetch walks the edge → regional → origin `CacheHierarchy`.
+fn traffic_tiers_fingerprint() -> String {
+    placement_fingerprint("perplane-4:budget-4000:cap-64:coop:tiers")
+}
+
+#[test]
+fn tiered_ground_fallback_identical_at_any_thread_count() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let sequential = with_thread_count(1, traffic_tiers_fingerprint);
+    // The pin only means something if every ground tier served requests.
+    for tier in ["ge=", "gr=", "go="] {
+        assert!(
+            sequential.contains(tier) && !sequential.contains(&format!("{tier}0;")),
+            "tiered fingerprint served nothing from {tier}:\n{sequential}"
+        );
+    }
+    for threads in [2, 5, 8] {
+        let parallel = with_thread_count(threads, traffic_tiers_fingerprint);
+        assert_eq!(
+            sequential, parallel,
+            "tiered-ground traffic diverged at {threads} threads"
         );
     }
 }
