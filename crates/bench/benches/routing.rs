@@ -1,15 +1,20 @@
 //! Micro-benchmarks of the ISL routing substrate: snapshot construction,
-//! Dijkstra, hop-bounded BFS — the inner loops of every experiment.
+//! Dijkstra, hop-bounded BFS — the inner loops of every experiment — and
+//! freezing a faulted epoch timeline cold vs from a session's kept one.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use spacecdn_geo::{Geodetic, SimTime};
+use spacecdn_core::network::LsnNetwork;
+use spacecdn_core::{clear_graph_pool, Scenario};
+use spacecdn_engine::set_snapshot_pool_override;
+use spacecdn_geo::{DetRng, Geodetic, SimDuration, SimTime};
 use spacecdn_lsn::{
     bfs_nearest, dijkstra, dijkstra_distances, dijkstra_distances_into, hop_distances,
-    hop_distances_into, hop_distances_many, set_routing_cache_override, FaultPlan, IslEdge,
-    IslGraph, SourceTables,
+    hop_distances_into, hop_distances_many, set_routing_cache_override, AccessModel, FaultPlan,
+    FaultSchedule, IslEdge, IslGraph, SourceTables,
 };
 use spacecdn_orbit::shell::shells;
 use spacecdn_orbit::{Constellation, SatIndex};
+use spacecdn_terra::fiber::FiberModel;
 
 /// Pre-CSR reference: single-source Dijkstra over nested `Vec<Vec<IslEdge>>`
 /// adjacency with an `f64` `partial_cmp` heap and per-call output allocs —
@@ -157,5 +162,59 @@ fn bench_routing(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_routing);
+/// A Shell 1 session under a churning fault timeline: 5 % of satellites
+/// get one outage (mean 60 s) and 2 % of ISLs flap 40 s up / 15 s down.
+fn churning_shell1(horizon: SimDuration) -> Scenario {
+    let net = LsnNetwork::new(
+        Constellation::new(shells::starlink_shell1()),
+        Vec::new(),
+        AccessModel::default(),
+        FiberModel::default(),
+    );
+    let mut rng = DetRng::new(42, "bench/routing/churn");
+    let mut schedule = FaultSchedule::none();
+    schedule.random_sat_outages(
+        net.constellation().len(),
+        0.05,
+        horizon,
+        SimDuration::from_secs(60),
+        &mut rng,
+    );
+    let pristine = IslGraph::build(net.constellation(), SimTime::EPOCH, &FaultPlan::none());
+    schedule.random_isl_flaps(
+        &pristine,
+        0.02,
+        SimDuration::from_secs(40),
+        SimDuration::from_secs(15),
+        &mut rng,
+    );
+    Scenario::builder(net).schedule(schedule).build()
+}
+
+/// Freezing a faulted 60 × 5 s Shell 1 timeline. Cold: the snapshot pool
+/// (and with it the kept timeline) is off, so every epoch is built or
+/// patched. Warm: the same session re-freezes the timeline it kept from
+/// its last freeze, so every epoch is reused as is.
+fn bench_timeline_freeze(c: &mut Criterion) {
+    let (epochs, step) = (60, SimDuration::from_secs(5));
+    let mut sc = churning_shell1(step.mul(epochs as u64));
+    let mut group = c.benchmark_group("freeze_epochs_shell1_60x5s_faulted");
+    group.sample_size(10);
+
+    set_snapshot_pool_override(Some(false));
+    group.bench_function("cold", |b| {
+        b.iter(|| sc.freeze_epochs_from(SimTime::EPOCH, epochs, step))
+    });
+
+    set_snapshot_pool_override(None);
+    clear_graph_pool();
+    sc.freeze_epochs_from(SimTime::EPOCH, epochs, step);
+    group.bench_function("warm", |b| {
+        b.iter(|| sc.freeze_epochs_from(SimTime::EPOCH, epochs, step))
+    });
+    group.finish();
+    clear_graph_pool();
+}
+
+criterion_group!(benches, bench_routing, bench_timeline_freeze);
 criterion_main!(benches);

@@ -128,9 +128,13 @@ pub fn delta_enabled() -> bool {
     }
 }
 
-/// Epoch snapshots retained by the process-wide graph pool. Campaigns
-/// sweep at most a few dozen epochs; FIFO eviction beyond this bound keeps
-/// long fault sweeps from accumulating warmed graphs without limit.
+/// Epoch snapshots retained by the process-wide graph pool. Dense
+/// timelines freeze far more than this (a 4-shell × 60-epoch campaign
+/// freezes 240 graphs); their re-runs reuse the timeline each
+/// [`crate::scenario::Scenario`] keeps from its last freeze instead. The
+/// pool shares graphs *across* scenarios and campaigns, and FIFO eviction
+/// beyond this bound keeps long sweeps from accumulating warmed graphs
+/// process-wide.
 const GRAPH_POOL_CAPACITY: usize = 32;
 
 /// The process-wide pool of built [`IslGraph`]s, keyed by

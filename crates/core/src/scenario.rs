@@ -4,10 +4,11 @@
 //! network, the temporal fault schedule, the current epoch's topology
 //! snapshot, the content-copy set, and the default retrieval policy — so
 //! callers resolving many requests stop re-plumbing five arguments per
-//! call. [`Scenario::advance_to`] moves simulated time: the snapshot is
-//! rebuilt through the process-wide pool (so concurrent campaigns at the
-//! same epoch share one graph) with the schedule lowered to the fault
-//! plan of that instant.
+//! call. [`Scenario::advance_to`] moves simulated time: the schedule is
+//! lowered to the fault plan of that instant and the snapshot comes from
+//! the timeline the session last froze when one of its graphs matches,
+//! else from the process-wide pool (so concurrent campaigns at the same
+//! epoch share one graph).
 //!
 //! `Scenario::fetch` executes a [`RetrievalRequest`] against the current
 //! pooled graph, so a session fetch is bit-identical to executing the same
@@ -19,6 +20,7 @@ use crate::network::LsnNetwork;
 use crate::placement::PlacementSpec;
 use crate::retrieval::{FetchResult, RetrievalRequest};
 use spacecdn_content::policy::PolicyKind;
+use spacecdn_engine::snapshot_pool_enabled;
 use spacecdn_geo::{DetRng, Geodetic, Latency, SimDuration, SimTime};
 use spacecdn_lsn::{FaultSchedule, IslGraph};
 use spacecdn_orbit::SatIndex;
@@ -30,6 +32,7 @@ use std::sync::Arc;
 static SCENARIO_FETCHES: LazyCounter = LazyCounter::stable("core.scenario.fetches");
 static SCENARIO_ADVANCES: LazyCounter = LazyCounter::stable("core.scenario.epoch_advances");
 static SCENARIO_MUTATIONS: LazyCounter = LazyCounter::stable("core.scenario.live_mutations");
+static SCENARIO_TIMELINE_REUSES: LazyCounter = LazyCounter::stable("core.scenario.timeline_reuses");
 
 /// A retrieval session: network + fault schedule + current snapshot +
 /// copy set + default policy, reused across many requests.
@@ -43,6 +46,10 @@ pub struct Scenario {
     schedule: FaultSchedule,
     epoch: SimTime,
     graph: Arc<IslGraph>,
+    /// The graphs of the last [`Scenario::freeze_epochs_from`], each with
+    /// its instant and lowered fault-plan digest, so a re-run of the same
+    /// timeline gets back the same (routing-warmed) graphs.
+    timeline: Vec<(SimTime, u64, Arc<IslGraph>)>,
     copies: BTreeSet<SatIndex>,
     escalation: Vec<u32>,
     ground_fallback_rtt: Latency,
@@ -143,6 +150,7 @@ impl ScenarioBuilder {
             schedule: self.schedule,
             epoch: self.start,
             graph,
+            timeline: Vec::new(),
             copies: self.copies,
             escalation: self.escalation,
             ground_fallback_rtt: self.ground_fallback_rtt,
@@ -211,26 +219,51 @@ impl Scenario {
     }
 
     /// Move the session to epoch `t`: lower the fault schedule to that
-    /// instant and swap in the (pooled) topology snapshot. The outgoing
-    /// epoch's graph seeds delta advancement (patch + table repair instead
-    /// of a rebuild) unless `SPACECDN_NO_DELTA` turned that off — either
-    /// way the resulting snapshot is bit-identical.
+    /// instant and swap in its topology snapshot.
+    ///
+    /// When the timeline last frozen by [`Self::freeze_epochs_from`] holds
+    /// a graph for `t` under the same lowered-plan digest, that graph is
+    /// reused as is, routing tables the earlier run warmed included: no
+    /// pool lookup, no patch, no Dijkstra. A graph is a pure function of
+    /// (constellation, instant, plan), so the reuse is bit-identical.
+    /// Otherwise the snapshot comes from the process-wide pool, and the
+    /// outgoing epoch's graph seeds delta advancement (patch + table
+    /// repair instead of a rebuild) unless `SPACECDN_NO_DELTA` turned that
+    /// off. The pool's kill switch (`SPACECDN_NO_SNAPSHOT_POOL`) turns the
+    /// retained timeline off too.
     pub fn advance_to(&mut self, t: SimTime) {
+        self.advance(t);
+    }
+
+    /// [`Self::advance_to`], returning the lowered plan's digest (the key
+    /// the retained timeline matches on).
+    fn advance(&mut self, t: SimTime) -> u64 {
         SCENARIO_ADVANCES.incr();
         self.epoch = t;
+        let plan = self.schedule.plan_at(t);
+        let digest = plan.digest();
+        if snapshot_pool_enabled() {
+            if let Some((_, _, graph)) = self
+                .timeline
+                .iter()
+                .find(|(at, d, _)| *at == t && *d == digest)
+            {
+                SCENARIO_TIMELINE_REUSES.incr();
+                self.graph = Arc::clone(graph);
+                return digest;
+            }
+        }
         let prev = Arc::clone(&self.graph);
-        self.graph = self
-            .net
-            .snapshot_from(t, &self.schedule.plan_at(t), Some(&prev))
-            .graph_handle();
+        self.graph = self.net.snapshot_from(t, &plan, Some(&prev)).graph_handle();
+        digest
     }
 
     /// Advance through `epochs` topology epochs (`EPOCH + step·e`) and
-    /// return each epoch's pooled snapshot handle. This is the batched
-    /// front door for engines that shard work across threads: all
-    /// snapshots are frozen up front by one owner, so worker shards share
-    /// the `Arc`s instead of racing the snapshot pool. The scenario is
-    /// left positioned at the final epoch.
+    /// return each epoch's snapshot handle. This is the batched front door
+    /// for engines that shard work across threads: all snapshots are
+    /// frozen up front by one owner, so worker shards share the `Arc`s
+    /// instead of racing the snapshot pool. The scenario is left
+    /// positioned at the final epoch.
     pub fn freeze_epochs(&mut self, epochs: usize, step: SimDuration) -> Vec<Arc<IslGraph>> {
         self.freeze_epochs_from(SimTime::EPOCH, epochs, step)
     }
@@ -239,18 +272,32 @@ impl Scenario {
     /// `start + step·e`. Long-lived sessions (the `spacecdn-serve` clock)
     /// freeze each traffic burst from wherever their virtual clock stands
     /// instead of rewinding to [`SimTime::EPOCH`].
+    ///
+    /// The scenario keeps the frozen graphs, replacing the timeline it
+    /// kept before, so freezing the same timeline again (an unchanged
+    /// schedule) returns the very same `Arc`s with their warm routing
+    /// tables; an epoch whose plan changed in between misses and is
+    /// rebuilt. Nothing is kept while the snapshot pool is switched off.
     pub fn freeze_epochs_from(
         &mut self,
         start: SimTime,
         epochs: usize,
         step: SimDuration,
     ) -> Vec<Arc<IslGraph>> {
-        (0..epochs)
+        let timeline: Vec<(SimTime, u64, Arc<IslGraph>)> = (0..epochs)
             .map(|e| {
-                self.advance_to(start + step.mul(e as u64));
-                self.graph_handle()
+                let t = start + step.mul(e as u64);
+                let digest = self.advance(t);
+                (t, digest, self.graph_handle())
             })
-            .collect()
+            .collect();
+        let graphs = timeline.iter().map(|(_, _, g)| Arc::clone(g)).collect();
+        self.timeline = if snapshot_pool_enabled() {
+            timeline
+        } else {
+            Vec::new()
+        };
+        graphs
     }
 
     /// Mutate the fault schedule of a live session and re-lower it at the

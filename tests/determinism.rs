@@ -713,3 +713,152 @@ fn covered_sources_identical_to_reference_at_any_thread_count() {
     spacecdn_suite::telemetry::set_metrics_override(None);
     clear_graph_pool();
 }
+
+/// Two Starlink 2024 shells, each under its own churning fault timeline
+/// (satellite outages plus ISL flaps drawn over that shell's satellites
+/// and links), for the re-run leg below.
+fn churning_shell_scenarios(
+    epochs: usize,
+    step: spacecdn_suite::geo::SimDuration,
+) -> Vec<spacecdn_suite::prelude::Scenario> {
+    use spacecdn_suite::geo::SimDuration;
+    use spacecdn_suite::lsn::AccessModel;
+    use spacecdn_suite::orbit::MultiConstellation;
+    use spacecdn_suite::prelude::{LsnNetwork, Scenario};
+    use spacecdn_suite::terra::fiber::FiberModel;
+
+    let fleet = MultiConstellation::starlink_2024();
+    (0..2)
+        .map(|k| {
+            let net = LsnNetwork::new(
+                Constellation::new(*fleet.shell(k).config()),
+                Vec::new(),
+                AccessModel::default(),
+                FiberModel::default(),
+            );
+            let mut rng = DetRng::new(19, &format!("determinism/churn/shell{k}"));
+            let mut schedule = FaultSchedule::none();
+            schedule.random_sat_outages(
+                net.constellation().len(),
+                0.05,
+                step.mul(epochs as u64),
+                SimDuration::from_secs(20),
+                &mut rng,
+            );
+            let pristine = net
+                .snapshot(SimTime::EPOCH, &FaultPlan::none())
+                .graph_handle();
+            schedule.random_isl_flaps(
+                &pristine,
+                0.03,
+                SimDuration::from_secs(12),
+                SimDuration::from_secs(6),
+                &mut rng,
+            );
+            Scenario::builder(net).schedule(schedule).build()
+        })
+        .collect()
+}
+
+/// Fingerprints of `runs` consecutive `run_traffic_multishell` calls on
+/// one set of churning scenarios: 2 shells × 24 epochs, more graphs than
+/// the process-wide snapshot pool holds, so a re-run can only reuse
+/// graphs through the timeline each scenario kept from its last freeze.
+/// Every counter, the decision digest, the per-shell rows and the full
+/// quantile ladder as raw bits.
+fn churn_rerun_fingerprints(runs: usize) -> Vec<String> {
+    use spacecdn_suite::geo::SimDuration;
+    use spacecdn_suite::prelude::{
+        run_traffic_multishell, Geodetic, Latency, PlacementSpec, TrafficConfig, TrafficSource,
+    };
+    let epochs = 24;
+    let step = SimDuration::from_secs(5);
+    let mut scenarios = churning_shell_scenarios(epochs, step);
+    let cfg = TrafficConfig {
+        requests: 6_000,
+        streams: 5,
+        epochs,
+        epoch_step: step,
+        catalog_size: 600,
+        cache_bytes_per_sat: 64 << 20,
+        policy: spacecdn_suite::prelude::PolicyKind::LruTtl,
+        placement: Some(PlacementSpec::parse("perplane-2:budget-600:coop").expect("valid spec")),
+        ..TrafficConfig::default()
+    };
+    let sources: Vec<TrafficSource> = [
+        (40.4, -3.7, 6u32),
+        (-25.97, 32.57, 2),
+        (51.5, -0.13, 9),
+        (35.68, 139.69, 10),
+        (-33.87, 151.21, 4),
+    ]
+    .into_iter()
+    .map(|(lat, lon, weight)| TrafficSource {
+        position: Geodetic::ground(lat, lon),
+        weight,
+        fallback_rtt: vec![Latency::from_ms(140.0); cfg.epochs],
+    })
+    .collect();
+    (0..runs)
+        .map(|_| {
+            let mut r = run_traffic_multishell(&mut scenarios, &sources, &cfg);
+            let mut out = format!(
+                "req={};oh={};isl={};origin={};dead={};ins={};ev={};ttl={};inv={};pin={};nb={};digest={:#018x};served={};ob={};hops={:?};shells={:?};",
+                r.requests,
+                r.overhead_hits,
+                r.isl_hits,
+                r.origin_fetches,
+                r.dead_zones,
+                r.inserts,
+                r.evictions,
+                r.ttl_expiries,
+                r.invalidations,
+                r.pinned_hits,
+                r.neighbor_hits,
+                r.decision_digest,
+                r.served_bytes,
+                r.origin_bytes,
+                r.hop_histogram,
+                r.per_shell,
+            );
+            for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
+                out.push_str(&format!(
+                    "q{q}={:?};",
+                    r.latencies.quantile(q).map(f64::to_bits)
+                ));
+            }
+            out
+        })
+        .collect()
+}
+
+#[test]
+fn churning_rerun_identical_to_fresh_scenarios_at_any_thread_count() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    // A re-run on the same scenarios gets back the graphs (and warm
+    // routing tables) the first run froze; its report must equal a run
+    // on freshly built scenarios, at every thread count, with the
+    // snapshot pool (and so the retained timeline) on or off.
+    set_snapshot_pool_override(Some(false));
+    clear_graph_pool();
+    let fresh = with_thread_count(1, || churn_rerun_fingerprints(1)).remove(0);
+    assert!(
+        !fresh.contains("inv=0;"),
+        "the churning timeline never invalidated a cached copy:\n{fresh}"
+    );
+    for pooled in [true, false] {
+        set_snapshot_pool_override(Some(pooled));
+        for threads in [1, 2, 5, 8] {
+            clear_graph_pool();
+            let runs = with_thread_count(threads, || churn_rerun_fingerprints(2));
+            for (i, fp) in runs.iter().enumerate() {
+                assert_eq!(
+                    &fresh, fp,
+                    "run {i} diverged from fresh scenarios at {threads} threads (pool {pooled})"
+                );
+            }
+        }
+    }
+    set_snapshot_pool_override(None);
+    clear_graph_pool();
+}

@@ -1,7 +1,9 @@
 //! Coverage for the cross-campaign snapshot pool as wired into the
 //! network layer: FIFO eviction at the fixed capacity, the in-process
 //! kill switch, and fault-digest keying (no aliasing between distinct
-//! plans, full sharing between equal ones).
+//! plans, full sharing between equal ones). Also the timeline a
+//! `Scenario` keeps from its last freeze: a re-freeze reuses it, a
+//! changed plan misses it, and the kill switch turns it off.
 //!
 //! The pool is process-global, so every test serialises behind one mutex
 //! and clears it on entry. The `SPACECDN_NO_SNAPSHOT_POOL` environment
@@ -9,14 +11,16 @@
 //! (`tests/pool_env.rs`).
 
 use spacecdn_suite::core::network::LsnNetwork;
-use spacecdn_suite::core::{clear_graph_pool, graph_pool_stats, set_delta_override};
+use spacecdn_suite::core::{
+    clear_graph_pool, delta_stats, graph_pool_stats, set_delta_override, Scenario,
+};
 use spacecdn_suite::engine::set_snapshot_pool_override;
-use spacecdn_suite::geo::{SimDuration, SimTime};
+use spacecdn_suite::geo::{DetRng, SimDuration, SimTime};
 use spacecdn_suite::lsn::{AccessModel, FaultPlan, FaultSchedule, IslGraph};
 use spacecdn_suite::orbit::shell::ShellConfig;
 use spacecdn_suite::orbit::{Constellation, SatIndex};
 use spacecdn_suite::terra::fiber::FiberModel;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -235,6 +239,178 @@ fn patched_and_fresh_snapshots_never_alias_different_bytes() {
     }
 
     set_delta_override(None);
+    set_snapshot_pool_override(None);
+    clear_graph_pool();
+}
+
+/// A session on [`small_net`] under churning satellite outages and ISL
+/// flaps, so consecutive frozen epochs carry different fault plans.
+fn churning_scenario() -> Scenario {
+    let net = small_net();
+    let mut rng = DetRng::new(31, "pool/timeline");
+    let mut schedule = FaultSchedule::none();
+    schedule.random_sat_outages(
+        net.constellation().len(),
+        0.2,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(8),
+        &mut rng,
+    );
+    let pristine = net
+        .snapshot(SimTime::EPOCH, &FaultPlan::none())
+        .graph_handle();
+    schedule.random_isl_flaps(
+        &pristine,
+        0.2,
+        SimDuration::from_secs(7),
+        SimDuration::from_secs(4),
+        &mut rng,
+    );
+    Scenario::builder(net).schedule(schedule).build()
+}
+
+const TIMELINE_EPOCHS: usize = 8;
+
+fn timeline_start() -> SimTime {
+    SimTime::from_secs(10)
+}
+
+fn timeline_step() -> SimDuration {
+    SimDuration::from_secs(5)
+}
+
+fn freeze(sc: &mut Scenario) -> Vec<Arc<IslGraph>> {
+    sc.freeze_epochs_from(timeline_start(), TIMELINE_EPOCHS, timeline_step())
+}
+
+#[test]
+fn refreeze_of_the_same_timeline_reuses_every_graph() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    set_snapshot_pool_override(Some(true));
+    clear_graph_pool();
+    // Under churn every epoch has its own plan; on a pristine fleet every
+    // epoch shares one plan digest, so only the instant tells them apart.
+    let churning = churning_scenario();
+    let pristine = Scenario::builder(small_net()).build();
+    for (name, mut sc) in [("churning", churning), ("pristine", pristine)] {
+        let first = freeze(&mut sc);
+        let stats0 = delta_stats();
+        let mut second = Vec::new();
+        let (hits, misses) = pool_delta(|| second = freeze(&mut sc));
+        assert_eq!(second.len(), first.len());
+        for (e, (a, b)) in first.iter().zip(&second).enumerate() {
+            assert!(Arc::ptr_eq(a, b), "{name}: epoch {e} was not reused");
+            assert_eq!(
+                b.time(),
+                timeline_start() + timeline_step().mul(e as u64),
+                "{name}: epoch {e} reused another instant's graph"
+            );
+        }
+        assert_eq!(
+            (hits, misses),
+            (0, 0),
+            "{name}: a re-freeze must not touch the pool"
+        );
+        assert_eq!(
+            delta_stats(),
+            stats0,
+            "{name}: a re-freeze must neither build nor patch"
+        );
+        assert_eq!(
+            sc.epoch(),
+            timeline_start() + timeline_step().mul(TIMELINE_EPOCHS as u64 - 1)
+        );
+    }
+
+    set_snapshot_pool_override(None);
+    clear_graph_pool();
+}
+
+#[test]
+fn schedule_mutation_rebuilds_only_the_changed_epoch() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    set_snapshot_pool_override(Some(true));
+    clear_graph_pool();
+    let mut sc = churning_scenario();
+    let first = freeze(&mut sc);
+
+    // Knock out one satellite alive at epoch `k`, for that instant only
+    // (outage windows are from-inclusive, until-exclusive).
+    let k = 3;
+    let t_k = timeline_start() + timeline_step().mul(k as u64);
+    let victim = (0..first[k].len() as u32)
+        .map(SatIndex)
+        .find(|&s| first[k].is_alive(s))
+        .expect("some satellite is alive");
+    sc.mutate_schedule(|schedule| {
+        schedule.sat_outage(victim, t_k, Some(t_k + SimDuration::from_secs(1)));
+    });
+
+    let stats0 = delta_stats();
+    let mut second = Vec::new();
+    let (hits, misses) = pool_delta(|| second = freeze(&mut sc));
+    let stats1 = delta_stats();
+    let built =
+        (stats1.full_builds - stats0.full_builds) + (stats1.delta_advances - stats0.delta_advances);
+    assert_eq!(built, 1, "exactly the changed epoch is rebuilt");
+    assert_eq!(
+        (hits, misses),
+        (0, 1),
+        "only the changed epoch reaches the pool"
+    );
+    for (e, (a, b)) in first.iter().zip(&second).enumerate() {
+        if e == k {
+            assert!(!Arc::ptr_eq(a, b), "the changed epoch must not be reused");
+        } else {
+            assert!(Arc::ptr_eq(a, b), "unchanged epoch {e} was not reused");
+        }
+    }
+    assert!(
+        !second[k].is_alive(victim),
+        "the mutation must reach epoch {k}"
+    );
+
+    // The rebuilt graph equals an independent snapshot of that instant
+    // and plan (pool off, so nothing is shared with the session).
+    let plan = sc.schedule().plan_at(t_k);
+    set_snapshot_pool_override(Some(false));
+    let fresh = small_net().snapshot(t_k, &plan).graph_handle();
+    set_snapshot_pool_override(Some(true));
+    assert_eq!(second[k].csr(), fresh.csr());
+    for i in 0..fresh.len() as u32 {
+        let s = SatIndex(i);
+        assert_eq!(second[k].is_alive(s), fresh.is_alive(s), "alive bit {i}");
+        assert_eq!(
+            second[k].gsl_alive(s),
+            fresh.gsl_alive(s),
+            "servable bit {i}"
+        );
+    }
+
+    set_snapshot_pool_override(None);
+    clear_graph_pool();
+}
+
+#[test]
+fn disabled_pool_retains_no_timeline() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    set_snapshot_pool_override(Some(false));
+    clear_graph_pool();
+    let mut sc = churning_scenario();
+    let first = freeze(&mut sc);
+    let second = freeze(&mut sc);
+    for (e, b) in second.iter().enumerate() {
+        assert!(
+            first.iter().all(|a| !Arc::ptr_eq(a, b)),
+            "epoch {e} shares a graph with the previous freeze"
+        );
+    }
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a.csr(), b.csr(), "rebuilt graphs must match");
+    }
+    let (_, _, len) = graph_pool_stats();
+    assert_eq!(len, 0, "disabled pool must retain nothing");
+
     set_snapshot_pool_override(None);
     clear_graph_pool();
 }
