@@ -1,26 +1,56 @@
-//! Shared flat-SoA entry arena for the fleet cache policies.
+//! The entry arena under [`crate::policy::PolicyFleet`].
 //!
-//! [`crate::fleet::FleetCache`] proved the layout on the traffic hot path:
-//! entries live in parallel vectors (satellite, content id, size, expiry,
+//! Entries live in parallel vectors (satellite, content id, size, expiry,
 //! intrusive links) with a free list and a single fleet-wide
-//! `(satellite, content) → entry` hash index. The policies in
-//! [`crate::policy`] share that substrate through [`EntryArena`] instead of
-//! re-growing six vectors each — the only per-policy additions are small
-//! metadata arrays (a visited bit, a queue tag, a segment tag) kept in
-//! lockstep with the arena, and however many intrusive [`List`] heads the
-//! policy needs per satellite.
+//! `(satellite, content) → entry` hash index. Every eviction order keeps
+//! its per-satellite [`List`] heads and any per-entry metadata (a visited
+//! bit, a queue tag, a segment tag) in its own arrays and links them
+//! through this one pool — an entry is on at most one list at a time.
 //!
 //! Lists are doubly linked with `head` = front (most recent / most recently
 //! admitted) and `tail` = back (the eviction end); `prev` points toward the
-//! head. All link storage lives in the arena so a policy can run several
-//! lists (window/probation/protected, small/main) over one entry pool — an
-//! entry is on at most one list at a time.
+//! head.
 
 use crate::catalog::ContentId;
-use crate::fleet::SlotHasher;
 use spacecdn_geo::SimTime;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Minimal multiply-rotate hasher for the fleet's `(satellite, content)`
+/// index — the single hot hash table on the traffic fast path, where
+/// SipHash's per-lookup cost is measurable. Not DoS-resistant, which is
+/// fine for deterministic simulation keys we generate ourselves.
+#[derive(Default)]
+pub(crate) struct SlotHasher {
+    state: u64,
+}
+
+impl SlotHasher {
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
 
 /// Null link/slot marker for the intrusive lists and the free list.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -78,7 +108,7 @@ impl EntryArena {
     }
 
     /// Allocate an unlinked entry and index it. The caller links it into a
-    /// list and maintains byte/count accounting.
+    /// list.
     pub fn alloc(&mut self, sat: u32, content: ContentId, size: u64, expiry: SimTime) -> u32 {
         let e = if let Some(e) = self.free.pop() {
             let i = e as usize;
@@ -104,7 +134,7 @@ impl EntryArena {
     }
 
     /// Return an already-unlinked entry to the free list and drop its index
-    /// record. The caller must have unlinked it from its list first.
+    /// record.
     pub fn release(&mut self, e: u32) {
         let i = e as usize;
         self.index.remove(&(self.sat[i], self.content[i]));

@@ -1,181 +1,218 @@
-//! Flat structure-of-arrays cache fleet: every satellite's LRU+TTL cache
-//! in parallel vectors.
+//! One cache store for every policy: a whole constellation's caches in
+//! flat parallel arrays, with the eviction policy reduced to an order.
 //!
-//! Per-satellite list heads and byte counters are plain vectors indexed by
-//! satellite slot, entries live in one shared arena of parallel vectors
-//! (content id, size, expiry, intrusive LRU links), and a single
-//! `(satellite, content) → entry` hash index serves the whole fleet. One
-//! allocation-free doubly linked list per satellite gives O(1) touch and
-//! eviction. The expiry lives *in* the entry, so an eviction drops it
-//! atomically and `expired_purges` only ever counts real TTL lapses.
+//! [`PolicyFleet`] has two parts. The **store** is written once: the
+//! shared entry arena (content id, size, expiry, intrusive links, one
+//! fleet-wide `(satellite, content) → entry` index), per-satellite byte
+//! and entry counts, the capacity, the TTL, the clock, the
+//! [`CacheStats`] under the evicted/expired/invalidated taxonomy, and the
+//! TTL timer queue. The **order** (LRU, SIEVE, S3-FIFO or W-TinyLFU; see
+//! [`crate::policy`]) keeps only its own lists and per-entry metadata and
+//! decides four things: what a hit or refresh does to an entry's
+//! position, where a new entry links, which entry is the victim, and in
+//! what order `clear_sat` drops a satellite's entries.
 //!
-//! Behaviour is pinned decision-for-decision to a naive reference by
+//! **Expiry is eager and lives in the store.** Every insert and every
+//! refresh pushes an `(expiry, satellite, content)` record on a FIFO timer
+//! queue; the clock is monotone and the TTL fleet-wide, so the queue is
+//! sorted by construction. [`PolicyFleet::set_now`] pops every record due
+//! by the new clock and expires the entry it names when that entry is
+//! still present and itself due (a record whose entry has gone, or was
+//! refreshed past the clock, is skipped). An entry therefore never
+//! lingers past its expiry, and the departures come out in timer-record
+//! order — which the traffic engine's holder lists, and so its decision
+//! digest, depend on. A fleet built with [`PolicyFleet::NO_EXPIRY`] keeps
+//! no timer records.
+//!
+//! Behaviour is pinned decision-for-decision to naive references by
 //! `tests/policy_oracle.rs`. Besides the traffic engine's satellite
-//! fleets, [`FleetCache`] is the byte-capacity LRU under the ground
-//! [`crate::hierarchy::CacheHierarchy`] and the content bubbles of
-//! `spacecdn-core`, which run it with [`FleetCache::NO_EXPIRY`].
+//! fleets, an LRU fleet with [`PolicyFleet::NO_EXPIRY`] is the
+//! byte-capacity cache under the ground
+//! [`crate::hierarchy::CacheHierarchy`], the content bubbles and static
+//! placement of `spacecdn-core`.
 
+use crate::arena::EntryArena;
 use crate::catalog::ContentId;
-use crate::policy::CacheStats;
+use crate::policy::{CacheStats, Order, PolicyKind};
 use spacecdn_geo::{SimDuration, SimTime};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
-/// Null link/slot marker for the intrusive lists and the free list.
-const NIL: u32 = u32::MAX;
-
-/// Minimal multiply-rotate hasher for the fleet's `(satellite, content)`
-/// index — the single hot hash table on the traffic fast path, where
-/// SipHash's per-lookup cost is measurable. Not DoS-resistant, which is
-/// fine for deterministic simulation keys we generate ourselves.
-#[derive(Default)]
-pub struct SlotHasher {
-    state: u64,
+/// The part of a fleet every policy shares.
+pub(crate) struct Store {
+    pub arena: EntryArena,
+    /// Bytes cached per satellite slot.
+    used: Vec<u64>,
+    /// Entries cached per satellite slot.
+    count: Vec<u32>,
+    capacity: u64,
+    ttl: SimDuration,
+    now: SimTime,
+    stats: CacheStats,
+    /// `(expiry, sat, content)` per insert and refresh, oldest first.
+    timers: VecDeque<(SimTime, u32, ContentId)>,
+    /// What the last `set_now` expired, in timer-record order.
+    expired: Vec<(u32, ContentId)>,
 }
 
-impl SlotHasher {
+impl Store {
+    /// True when `size` more bytes do not fit on `sat`.
     #[inline]
-    fn mix(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    pub fn over(&self, sat: u32, size: u64) -> bool {
+        self.used[sat as usize] + size > self.capacity
     }
-}
 
-impl Hasher for SlotHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
+    /// Queue a timer record for `(sat, content)` expiring at `expiry`.
+    #[inline]
+    fn arm(&mut self, expiry: SimTime, sat: u32, content: ContentId) {
+        if self.ttl != PolicyFleet::NO_EXPIRY {
+            self.timers.push_back((expiry, sat, content));
         }
     }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
+
+    /// Admit a new entry: allocate it, book its bytes and an insert, and
+    /// arm its timer. The order links it.
+    pub fn alloc(&mut self, sat: u32, content: ContentId, size: u64) -> u32 {
+        let expiry = self.now + self.ttl;
+        let e = self.arena.alloc(sat, content, size, expiry);
+        self.used[sat as usize] += size;
+        self.count[sat as usize] += 1;
+        self.stats.inserts += 1;
+        self.arm(expiry, sat, content);
+        e
     }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
+
+    /// Release an entry the order has already unlinked, returning its
+    /// content id. The caller books the departure class.
+    fn release(&mut self, e: u32) -> ContentId {
+        let i = e as usize;
+        let sat = self.arena.sat[i] as usize;
+        self.used[sat] -= self.arena.size[i];
+        self.count[sat] -= 1;
+        self.arena.release(e);
+        self.arena.content[i]
     }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
+
+    /// Evict an entry the order has already unlinked, reporting it.
+    pub fn evict(&mut self, e: u32, evicted: &mut Vec<ContentId>) {
+        evicted.push(self.release(e));
+        self.stats.evictions += 1;
     }
 }
 
-type SlotIndex = HashMap<(u32, ContentId), u32, BuildHasherDefault<SlotHasher>>;
-
-/// A whole constellation's LRU+TTL caches in flat parallel arrays.
+/// A whole constellation's caches under one eviction/admission policy.
 ///
 /// Satellites are addressed by a dense `u32` slot (the traffic engine
 /// uses shell-offset global indices); all satellites share one byte
 /// capacity and one TTL. The clock is fleet-global and monotone
-/// ([`FleetCache::set_now`]); simulation event times never decrease, so
+/// ([`PolicyFleet::set_now`]); simulation event times never decrease, so
 /// one clock serves every satellite.
-pub struct FleetCache {
-    sat_capacity: u64,
-    ttl: SimDuration,
-    now: SimTime,
-    // Per-satellite state, indexed by satellite slot.
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    used: Vec<u64>,
-    count: Vec<u32>,
-    // Entry arena: parallel vectors linked into per-satellite LRU lists
-    // (head = most recent, tail = eviction victim) with a free list.
-    e_sat: Vec<u32>,
-    e_content: Vec<ContentId>,
-    e_size: Vec<u64>,
-    e_expiry: Vec<SimTime>,
-    e_prev: Vec<u32>,
-    e_next: Vec<u32>,
-    free: Vec<u32>,
-    index: SlotIndex,
-    stats: CacheStats,
+///
+/// Every departure is reported — eviction victims through
+/// [`PolicyFleet::insert_collect`]'s `evicted` vector, TTL lapses through
+/// [`PolicyFleet::set_now`]'s return value, duty-cycle drops through
+/// [`PolicyFleet::clear_sat`]'s `dropped` vector — because the traffic
+/// engine prunes its per-content holder lists eagerly and a silent drop
+/// would desynchronize them.
+pub struct PolicyFleet {
+    store: Store,
+    order: Order,
 }
 
-impl FleetCache {
-    /// TTL for fleets that never call [`FleetCache::set_now`]: their clock
-    /// stays at [`SimTime::EPOCH`], so no entry can lapse and the fleet is
-    /// a plain byte-capacity LRU.
+impl PolicyFleet {
+    /// TTL for fleets that never call [`PolicyFleet::set_now`]: their
+    /// clock stays at [`SimTime::EPOCH`], so no entry can lapse, no timer
+    /// record is kept, and the fleet is a plain byte-capacity cache.
     pub const NO_EXPIRY: SimDuration = SimDuration(u64::MAX / 2);
 
-    /// A fleet of `sats` empty caches, each with `capacity_bytes` and
-    /// entries expiring `ttl` after insertion.
+    /// Build a fleet of `sats` empty caches running `kind`, each with
+    /// `capacity_bytes` and entries expiring `ttl` after insertion.
     ///
     /// # Panics
     /// Panics on a zero TTL — that cache could never serve anything.
-    pub fn new(sats: usize, capacity_bytes: u64, ttl: SimDuration) -> Self {
+    pub fn new(kind: PolicyKind, sats: usize, capacity_bytes: u64, ttl: SimDuration) -> Self {
         assert!(ttl > SimDuration::ZERO, "TTL must be positive");
-        FleetCache {
-            sat_capacity: capacity_bytes,
-            ttl,
-            now: SimTime::EPOCH,
-            head: vec![NIL; sats],
-            tail: vec![NIL; sats],
-            used: vec![0; sats],
-            count: vec![0; sats],
-            e_sat: Vec::new(),
-            e_content: Vec::new(),
-            e_size: Vec::new(),
-            e_expiry: Vec::new(),
-            e_prev: Vec::new(),
-            e_next: Vec::new(),
-            free: Vec::new(),
-            index: SlotIndex::default(),
-            stats: CacheStats::default(),
+        PolicyFleet {
+            store: Store {
+                arena: EntryArena::new(),
+                used: vec![0; sats],
+                count: vec![0; sats],
+                capacity: capacity_bytes,
+                ttl,
+                now: SimTime::EPOCH,
+                stats: CacheStats::default(),
+                timers: VecDeque::new(),
+                expired: Vec::new(),
+            },
+            order: Order::new(kind, sats, capacity_bytes),
         }
     }
 
-    /// Advance the clock (monotonically; moving backwards is clamped).
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = self.now.max(now);
+    /// Which policy this fleet runs.
+    pub fn kind(&self) -> PolicyKind {
+        self.order.kind()
+    }
+
+    /// Advance the clock (monotonically; moving backwards is clamped) and
+    /// expire every entry now due, returning each expired
+    /// `(sat, content)` in timer-record order. The slice is the fleet's
+    /// own scratch, overwritten by the next call.
+    pub fn set_now(&mut self, now: SimTime) -> &[(u32, ContentId)] {
+        let s = &mut self.store;
+        s.now = s.now.max(now);
+        s.expired.clear();
+        while let Some(&(due, sat, content)) = s.timers.front() {
+            if due > s.now {
+                break;
+            }
+            s.timers.pop_front();
+            let Some(e) = s.arena.lookup(sat, content) else {
+                continue;
+            };
+            if s.arena.expiry[e as usize] <= s.now {
+                self.order.unlink(&mut s.arena, e);
+                s.release(e);
+                s.stats.expirations += 1;
+                s.expired.push((sat, content));
+            }
+        }
+        &s.expired
     }
 
     /// The current clock.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.store.now
     }
 
     /// Number of satellite slots.
     pub fn sat_count(&self) -> usize {
-        self.head.len()
+        self.store.used.len()
     }
 
     /// Per-satellite byte capacity.
     pub fn capacity_bytes_per_sat(&self) -> u64 {
-        self.sat_capacity
+        self.store.capacity
     }
 
     /// The freshness lifetime applied to every insert.
     pub fn ttl(&self) -> SimDuration {
-        self.ttl
+        self.store.ttl
     }
 
     /// Objects cached on one satellite.
+    #[inline]
     pub fn len_of(&self, sat: u32) -> usize {
-        self.count[sat as usize] as usize
+        self.store.count[sat as usize] as usize
     }
 
     /// Bytes cached on one satellite.
+    #[inline]
     pub fn used_bytes_of(&self, sat: u32) -> u64 {
-        self.used[sat as usize]
+        self.store.used[sat as usize]
     }
 
-    /// Fleet-wide counters under the unified taxonomy: hits/misses/gets,
-    /// inserts, and the three departure classes (evicted under pressure,
-    /// expired on TTL lapse, invalidated by `remove`/`clear_sat`).
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Entries dropped because their TTL lapsed (from any purge path).
-    /// Alias for `stats().expirations`: fleet purges always drop a live
-    /// entry (expiry lives in the entry, so there are no stale records).
-    pub fn expired_purges(&self) -> u64 {
-        self.stats.expirations
-    }
-
-    /// Objects cached fleet-wide (expired-but-untouched entries included).
+    /// Objects cached fleet-wide.
     pub fn len(&self) -> usize {
-        self.count.iter().map(|&n| n as usize).sum()
+        self.store.count.iter().map(|&n| n as usize).sum()
     }
 
     /// True when no satellite caches anything.
@@ -183,161 +220,48 @@ impl FleetCache {
         self.len() == 0
     }
 
-    /// Satellites currently holding at least one object, as
-    /// `(sat, entries, bytes)` in slot order.
-    pub fn occupied(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
-        self.count
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(s, &n)| (s as u32, n, self.used[s]))
+    /// Fleet-wide counters under the unified taxonomy: hits/misses/gets,
+    /// inserts, and the three departure classes (evicted under pressure,
+    /// expired on TTL lapse, invalidated by `remove`/`clear_sat`).
+    pub fn stats(&self) -> CacheStats {
+        self.store.stats
     }
 
-    // -- intrusive-list plumbing -------------------------------------------
-
-    fn unlink(&mut self, e: u32) {
-        let (sat, prev, next) = (
-            self.e_sat[e as usize] as usize,
-            self.e_prev[e as usize],
-            self.e_next[e as usize],
-        );
-        if prev == NIL {
-            self.head[sat] = next;
-        } else {
-            self.e_next[prev as usize] = next;
-        }
-        if next == NIL {
-            self.tail[sat] = prev;
-        } else {
-            self.e_prev[next as usize] = prev;
-        }
-    }
-
-    fn push_front(&mut self, e: u32) {
-        let sat = self.e_sat[e as usize] as usize;
-        let old = self.head[sat];
-        self.e_prev[e as usize] = NIL;
-        self.e_next[e as usize] = old;
-        if old == NIL {
-            self.tail[sat] = e;
-        } else {
-            self.e_prev[old as usize] = e;
-        }
-        self.head[sat] = e;
-    }
-
-    /// Detach entry `e` entirely: index, list, byte accounting, arena.
-    fn release(&mut self, e: u32) {
-        let i = e as usize;
-        self.index.remove(&(self.e_sat[i], self.e_content[i]));
-        self.unlink(e);
-        let sat = self.e_sat[i] as usize;
-        self.used[sat] -= self.e_size[i];
-        self.count[sat] -= 1;
-        self.free.push(e);
-    }
-
-    fn alloc(&mut self, sat: u32, content: ContentId, size: u64) -> u32 {
-        let expiry = self.now + self.ttl;
-        if let Some(e) = self.free.pop() {
-            let i = e as usize;
-            self.e_sat[i] = sat;
-            self.e_content[i] = content;
-            self.e_size[i] = size;
-            self.e_expiry[i] = expiry;
-            e
-        } else {
-            let e = self.e_sat.len() as u32;
-            self.e_sat.push(sat);
-            self.e_content.push(content);
-            self.e_size.push(size);
-            self.e_expiry.push(expiry);
-            self.e_prev.push(NIL);
-            self.e_next.push(NIL);
-            e
-        }
-    }
-
+    /// Look up an object: a hit updates the policy's recency or frequency
+    /// state.
     #[inline]
-    fn slot(&self, sat: u32, content: ContentId) -> Option<u32> {
-        self.index.get(&(sat, content)).copied()
-    }
-
-    #[inline]
-    fn lapsed(&self, e: u32) -> bool {
-        self.now >= self.e_expiry[e as usize]
-    }
-
-    // -- cache operations ---------------------------------------------------
-
-    /// Freshness check that reclaims: an entry found expired is purged and
-    /// counted; a live entry is left untouched (no recency bump, no
-    /// hit/miss accounting).
-    pub fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool {
-        match self.slot(sat, content) {
-            Some(e) if self.lapsed(e) => {
-                self.release(e);
-                self.stats.expirations += 1;
-                false
-            }
-            Some(_) => true,
-            None => false,
-        }
-    }
-
-    /// Presence without side effects (counters and recency untouched).
-    pub fn contains(&self, sat: u32, content: ContentId) -> bool {
-        self.slot(sat, content).is_some_and(|e| !self.lapsed(e))
-    }
-
-    /// Drop `(sat, content)` if present *and* its TTL has lapsed, counting
-    /// an expired purge. Supports eager expiry sweeps (the traffic
-    /// engine's timer queue); a live or absent entry is untouched.
-    pub fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool {
-        match self.slot(sat, content) {
-            Some(e) if self.lapsed(e) => {
-                self.release(e);
-                self.stats.expirations += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Look up an object: a fresh hit bumps recency and the hit counter;
-    /// an expired entry is purged and counted as a miss.
     pub fn get(&mut self, sat: u32, content: ContentId) -> bool {
-        self.stats.gets += 1;
-        match self.slot(sat, content) {
-            Some(e) if self.lapsed(e) => {
-                self.release(e);
-                self.stats.expirations += 1;
-                self.stats.misses += 1;
-                false
-            }
+        self.order.on_request(sat, content);
+        let s = &mut self.store;
+        s.stats.gets += 1;
+        match s.arena.lookup(sat, content) {
             Some(e) => {
-                // Zipf-hot entries are usually already most-recent; the
-                // relink (six scattered link writes) is pure overhead then.
-                if self.head[sat as usize] != e {
-                    self.unlink(e);
-                    self.push_front(e);
-                }
-                self.stats.hits += 1;
+                self.order.touch(&mut s.arena, sat, e);
+                s.stats.hits += 1;
                 true
             }
             None => {
-                self.stats.misses += 1;
+                s.stats.misses += 1;
                 false
             }
         }
     }
 
-    /// Insert an object, evicting LRU victims as needed; returns false
+    /// Presence without side effects (counters and policy state untouched).
+    #[inline]
+    pub fn contains(&self, sat: u32, content: ContentId) -> bool {
+        self.store.arena.lookup(sat, content).is_some()
+    }
+
+    /// Insert an object, evicting per policy as needed; returns false
     /// (caching nothing) when the object exceeds the satellite capacity.
-    /// Re-inserting a live object refreshes recency and expiry but keeps
-    /// the originally stored size (objects are immutable). Victims are
-    /// appended to `evicted` so callers maintaining external holder
-    /// indices can prune them eagerly.
+    /// Re-inserting a present object refreshes policy state and expiry
+    /// but keeps the originally stored size (objects are immutable); the
+    /// oversize check comes first, so an oversized re-insert rejects
+    /// without refreshing. Every entry dropped by the operation — victims,
+    /// and under admission policies possibly the inserted object itself —
+    /// is appended to `evicted`.
+    #[inline]
     pub fn insert_collect(
         &mut self,
         sat: u32,
@@ -345,53 +269,37 @@ impl FleetCache {
         size: u64,
         evicted: &mut Vec<ContentId>,
     ) -> bool {
-        if let Some(e) = self.slot(sat, content) {
-            if self.lapsed(e) {
-                self.release(e);
-                self.stats.expirations += 1;
-            }
-        }
-        if size > self.sat_capacity {
-            // The oversize check precedes the refresh path, so an
-            // oversized re-insert rejects without refreshing.
+        self.order.on_request(sat, content);
+        let s = &mut self.store;
+        if size > s.capacity {
             return false;
         }
-        if let Some(e) = self.slot(sat, content) {
-            self.unlink(e);
-            self.push_front(e);
-            self.e_expiry[e as usize] = self.now + self.ttl;
+        if let Some(e) = s.arena.lookup(sat, content) {
+            self.order.touch(&mut s.arena, sat, e);
+            let expiry = s.now + s.ttl;
+            s.arena.expiry[e as usize] = expiry;
+            s.arm(expiry, sat, content);
             return true;
         }
-        while self.used[sat as usize] + size > self.sat_capacity {
-            let victim = self.tail[sat as usize];
-            debug_assert_ne!(victim, NIL, "eviction loop with an empty list");
-            evicted.push(self.e_content[victim as usize]);
-            self.release(victim);
-            self.stats.evictions += 1;
-        }
-        let e = self.alloc(sat, content, size);
-        self.index.insert((sat, content), e);
-        self.push_front(e);
-        self.used[sat as usize] += size;
-        self.count[sat as usize] += 1;
-        self.stats.inserts += 1;
+        self.order.insert(s, sat, content, size, evicted);
         true
     }
 
-    /// [`FleetCache::insert_collect`] without victim reporting.
+    /// [`PolicyFleet::insert_collect`] without victim reporting.
     pub fn insert(&mut self, sat: u32, content: ContentId, size: u64) -> bool {
         let mut sink = Vec::new();
         self.insert_collect(sat, content, size, &mut sink)
     }
 
-    /// Remove an object if present (fresh or expired), booking an
-    /// invalidation; returns whether it was there. Hit/miss counters and
-    /// recency are untouched.
+    /// Remove an object if present, booking an invalidation; returns
+    /// whether it was there. Hit/miss counters are untouched.
     pub fn remove(&mut self, sat: u32, content: ContentId) -> bool {
-        match self.slot(sat, content) {
+        let s = &mut self.store;
+        match s.arena.lookup(sat, content) {
             Some(e) => {
-                self.release(e);
-                self.stats.invalidations += 1;
+                self.order.unlink(&mut s.arena, e);
+                s.release(e);
+                s.stats.invalidations += 1;
                 true
             }
             None => false,
@@ -400,17 +308,53 @@ impl FleetCache {
 
     /// Wipe one satellite's cache (hit/miss counters preserved; each drop
     /// books an invalidation), appending every dropped content id to
-    /// `dropped`; returns how many were dropped.
+    /// `dropped` in the policy's drop order; returns how many were dropped.
     pub fn clear_sat(&mut self, sat: u32, dropped: &mut Vec<ContentId>) -> u64 {
+        let s = &mut self.store;
         let mut n = 0;
-        while self.head[sat as usize] != NIL {
-            let e = self.head[sat as usize];
-            dropped.push(self.e_content[e as usize]);
-            self.release(e);
+        while let Some(e) = self.order.first(sat) {
+            self.order.unlink(&mut s.arena, e);
+            dropped.push(s.release(e));
             n += 1;
         }
-        self.stats.invalidations += n;
+        self.order.cleared(sat);
+        s.stats.invalidations += n;
         n
+    }
+
+    /// Satellites currently holding at least one object, as
+    /// `(sat, entries, bytes)` in slot order, appended to `out`.
+    pub fn occupied_into(&self, out: &mut Vec<(u32, u32, u64)>) {
+        let s = &self.store;
+        for (sat, &n) in s.count.iter().enumerate() {
+            if n > 0 {
+                out.push((sat as u32, n, s.used[sat]));
+            }
+        }
+    }
+
+    /// Timer records queued (including ones already stale).
+    #[cfg(test)]
+    pub(crate) fn timer_records(&self) -> usize {
+        self.store.timers.len()
+    }
+
+    /// Arena slots ever allocated (capacity watermark, for growth tests).
+    #[cfg(test)]
+    pub(crate) fn arena_slots(&self) -> usize {
+        self.store.arena.slots()
+    }
+
+    /// The order, for policy-internal unit tests.
+    #[cfg(test)]
+    pub(crate) fn order(&self) -> &Order {
+        &self.order
+    }
+
+    /// The store, for policy-internal unit tests.
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &Store {
+        &self.store
     }
 }
 
@@ -422,13 +366,13 @@ mod tests {
         ContentId(n)
     }
 
-    fn fleet(cap: u64) -> FleetCache {
-        FleetCache::new(4, cap, SimDuration::from_secs(60))
+    fn lru(cap: u64) -> PolicyFleet {
+        PolicyFleet::new(PolicyKind::LruTtl, 4, cap, SimDuration::from_secs(60))
     }
 
     #[test]
     fn satellites_are_isolated() {
-        let mut f = fleet(1_000);
+        let mut f = lru(1_000);
         assert!(f.insert(0, id(1), 100));
         assert!(f.insert(1, id(1), 100));
         assert!(f.get(0, id(1)));
@@ -440,7 +384,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent_per_satellite() {
-        let mut f = fleet(300);
+        let mut f = lru(300);
         f.insert(0, id(1), 100);
         f.insert(0, id(2), 100);
         f.insert(0, id(3), 100);
@@ -453,34 +397,48 @@ mod tests {
     }
 
     #[test]
-    fn entries_expire_at_ttl_and_count_purges() {
-        let mut f = fleet(1_000);
+    fn entries_expire_eagerly_at_ttl() {
+        let mut f = lru(1_000);
         f.insert(0, id(1), 100);
-        f.set_now(SimTime::from_secs(60));
+        f.insert(1, id(2), 100);
+        assert!(f.set_now(SimTime::from_secs(59)).is_empty());
+        assert_eq!(f.set_now(SimTime::from_secs(60)), &[(0, id(1)), (1, id(2))]);
         assert!(!f.contains(0, id(1)));
-        assert_eq!(f.used_bytes_of(0), 100, "lazy: bytes linger until touched");
-        assert!(!f.is_fresh(0, id(1)));
-        assert_eq!(f.used_bytes_of(0), 0);
-        assert_eq!(f.expired_purges(), 1);
-        assert!(!f.is_fresh(0, id(99)), "absent id is not a purge");
-        assert_eq!(f.expired_purges(), 1);
+        assert_eq!(f.used_bytes_of(0), 0, "bytes leave with the entry");
+        assert_eq!(f.stats().expirations, 2);
+        assert_eq!(f.stats().misses, 0, "expiry is not a lookup");
+        assert!(f.set_now(SimTime::from_secs(61)).is_empty());
     }
 
     #[test]
-    fn expire_if_due_sweeps_only_lapsed_entries() {
-        let mut f = fleet(1_000);
-        f.insert(0, id(1), 100);
-        assert!(!f.expire_if_due(0, id(1)), "fresh entry stays");
-        f.set_now(SimTime::from_secs(60));
-        assert!(f.expire_if_due(0, id(1)));
-        assert!(!f.expire_if_due(0, id(1)), "already gone");
-        assert_eq!(f.expired_purges(), 1);
-        assert_eq!(f.stats().misses, 0, "sweeps are not lookups");
+    fn departures_follow_timer_record_order() {
+        // Records: (60, A), (60, B), (70, A). A's first record finds A due
+        // once the clock passes 70, so A leaves before B even though B's
+        // current expiry is the earlier one.
+        let (a, b) = (id(1), id(2));
+        let mut f = lru(1_000);
+        f.insert(0, a, 100);
+        f.insert(0, b, 100);
+        f.set_now(SimTime::from_secs(10));
+        assert!(f.insert(0, a, 100), "refresh");
+        assert_eq!(f.set_now(SimTime::from_secs(100)), &[(0, a), (0, b)]);
+        assert_eq!(f.stats().expirations, 2);
+        assert_eq!(f.timer_records(), 0, "stale refresh record popped too");
+    }
+
+    #[test]
+    fn no_expiry_fleet_keeps_no_timer_records() {
+        let mut f = PolicyFleet::new(PolicyKind::LruTtl, 2, 100_000, PolicyFleet::NO_EXPIRY);
+        for n in 0..10_000u64 {
+            f.insert((n % 2) as u32, id(n % 700), 1_000);
+        }
+        assert!(f.stats().evictions > 0 && !f.is_empty());
+        assert_eq!(f.timer_records(), 0);
     }
 
     #[test]
     fn refresh_insert_extends_ttl_and_keeps_size() {
-        let mut f = fleet(1_000);
+        let mut f = lru(1_000);
         f.insert(0, id(1), 100);
         f.set_now(SimTime::from_secs(30));
         assert!(f.insert(0, id(1), 999)); // refresh ignores the new size
@@ -493,15 +451,16 @@ mod tests {
 
     #[test]
     fn oversized_insert_rejected() {
-        let mut f = fleet(100);
+        let mut f = lru(100);
         assert!(!f.insert(0, id(1), 101));
         assert_eq!(f.len_of(0), 0);
+        assert_eq!(f.timer_records(), 0, "a rejected insert arms nothing");
         assert!(f.insert(0, id(2), 100));
     }
 
     #[test]
     fn clear_sat_drains_and_reports() {
-        let mut f = fleet(1_000);
+        let mut f = lru(1_000);
         f.insert(0, id(1), 100);
         f.insert(0, id(2), 100);
         f.insert(1, id(3), 100);
@@ -517,19 +476,21 @@ mod tests {
 
     #[test]
     fn arena_recycles_released_entries() {
-        let mut f = fleet(200);
-        for round in 0..50u64 {
-            f.insert(0, id(round), 100);
-            f.insert(0, id(round + 1000), 100);
+        for kind in PolicyKind::ALL {
+            let mut f = PolicyFleet::new(kind, 1, 200, SimDuration::from_secs(600));
+            for round in 0..50u64 {
+                f.insert(0, id(round % 7), 100);
+                f.insert(0, id(round + 1000), 100);
+            }
+            // Churn at 2-entry capacity must not grow the arena past the
+            // live maximum (plus a TinyLFU window candidate in flight).
+            assert!(f.arena_slots() <= 3, "{}: {}", kind.name(), f.arena_slots());
         }
-        // Churn of 100 inserts at 2-entry capacity must not grow the arena
-        // past the live maximum.
-        assert!(f.e_sat.len() <= 3, "arena grew to {}", f.e_sat.len());
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_ttl_panics() {
-        let _ = FleetCache::new(1, 100, SimDuration::ZERO);
+        let _ = PolicyFleet::new(PolicyKind::LruTtl, 1, 100, SimDuration::ZERO);
     }
 }

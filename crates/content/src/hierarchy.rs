@@ -11,8 +11,7 @@
 //! are high for these \[LSN\] users").
 
 use crate::catalog::{Catalog, ContentId};
-use crate::fleet::FleetCache;
-use crate::policy::CacheStats;
+use crate::policy::{CacheStats, PolicyFleet, PolicyKind};
 use serde::Serialize;
 use spacecdn_geo::Latency;
 
@@ -110,7 +109,7 @@ pub struct HierarchyOutcome {
 
 /// A two-level cache tree with an origin: many edges per regional.
 ///
-/// Each tier is one LRU [`FleetCache`] (`edges` has one slot per edge,
+/// Each tier is one LRU [`PolicyFleet`] (`edges` has one slot per edge,
 /// `regional` a single slot); two fleets because a fleet has one
 /// capacity. Accounting lives entirely in the per-tier [`CacheStats`] the
 /// fleets already keep: every request is one `get` against an edge, so
@@ -118,8 +117,8 @@ pub struct HierarchyOutcome {
 /// regional-served, and regional misses = origin fetches. There are no
 /// side counters to drift.
 pub struct CacheHierarchy {
-    edges: FleetCache,
-    regional: FleetCache,
+    edges: PolicyFleet,
+    regional: PolicyFleet,
     latencies: TierLatencies,
     /// Bytes fetched over the regional↔origin WAN (the cost §2 worries
     /// about).
@@ -140,8 +139,18 @@ impl CacheHierarchy {
     ) -> Self {
         assert!(edge_count > 0, "hierarchy needs at least one edge");
         CacheHierarchy {
-            edges: FleetCache::new(edge_count, edge_bytes, FleetCache::NO_EXPIRY),
-            regional: FleetCache::new(1, regional_bytes, FleetCache::NO_EXPIRY),
+            edges: PolicyFleet::new(
+                PolicyKind::LruTtl,
+                edge_count,
+                edge_bytes,
+                PolicyFleet::NO_EXPIRY,
+            ),
+            regional: PolicyFleet::new(
+                PolicyKind::LruTtl,
+                1,
+                regional_bytes,
+                PolicyFleet::NO_EXPIRY,
+            ),
             latencies,
             wan_bytes: 0,
         }

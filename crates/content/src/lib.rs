@@ -9,13 +9,13 @@
 //!   paper's "content bubbles" observation (§5) is that demand skew is
 //!   *geographic*: a Boca Juniors match is hot in Argentina and cold in
 //!   Finland;
-//! - the **fleet policy zoo** ([`policy`]): byte-capacity flat-SoA
-//!   cache fleets — LRU+TTL ([`fleet`]), SIEVE ([`sieve`]), S3-FIFO
-//!   ([`s3fifo`]) and W-TinyLFU with count-min admission ([`tinylfu`],
-//!   [`sketch`]) — behind the [`policy::CachePolicy`] trait, sharing one
-//!   entry arena and a unified evicted/expired/invalidated taxonomy;
+//! - the **cache fleet** ([`PolicyFleet`]): one byte-capacity flat-SoA
+//!   store (entry arena, byte accounting, the evicted/expired/invalidated
+//!   taxonomy and an eager TTL timer queue) under four eviction orders —
+//!   LRU, SIEVE, S3-FIFO and W-TinyLFU with count-min admission
+//!   ([`sketch`]) — selected by [`PolicyKind`] ([`policy`]);
 //! - the terrestrial **edge → regional → origin tree** ([`hierarchy`]),
-//!   built on the same LRU fleet;
+//!   built on the same fleet running LRU;
 //! - **video objects** ([`video`]): DASH-style segment groups ("stripes")
 //!   that §4's striping design schedules across successive satellites.
 
@@ -24,25 +24,21 @@
 
 mod arena;
 pub mod catalog;
-pub mod fleet;
+mod fleet;
 pub mod hierarchy;
 pub mod policy;
 pub mod popularity;
-pub mod s3fifo;
-pub mod sieve;
+mod s3fifo;
+mod sieve;
 pub mod sketch;
-pub mod tinylfu;
+mod tinylfu;
 pub mod video;
 
 pub use catalog::{Catalog, ContentId, ContentKind, ContentObject, RegionTag};
-pub use fleet::FleetCache;
 pub use hierarchy::{
     CacheHierarchy, HierarchyOutcome, ServedBy, TierLatencies, TierLatenciesBuilder,
 };
-pub use policy::{CachePolicy, CacheStats, PolicyFleet, PolicyKind};
+pub use policy::{CacheStats, PolicyFleet, PolicyKind};
 pub use popularity::{RegionalPopularity, ZipfSampler};
-pub use s3fifo::S3FifoFleet;
-pub use sieve::SieveFleet;
 pub use sketch::FrequencySketch;
-pub use tinylfu::TinyLfuFleet;
 pub use video::{StripePlanInput, VideoObject};

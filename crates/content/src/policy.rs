@@ -1,40 +1,42 @@
-//! The cache-policy zoo: eviction/admission lifted out of
-//! [`crate::fleet::FleetCache`] behind one trait.
+//! The cache-policy zoo: four eviction orders over one store.
 //!
 //! Satellite caches are tiny, duty-cycled, and expensive to refill from the
 //! ground, so *what* a satellite admits and evicts matters far more than on
 //! terrestrial CDNs. This module defines:
 //!
-//! - [`CachePolicy`] — the fleet-shaped trait every policy implements:
-//!   lookups, TTL purges, exact eviction reporting (the traffic engine
-//!   maintains eager per-content holder lists, so every departure must be
-//!   surfaced), per-policy [`CacheStats`] under the unified
-//!   evicted/expired/invalidated taxonomy, which this module defines;
+//! - [`CacheStats`] — the counters every fleet keeps, under the unified
+//!   evicted/expired/invalidated departure taxonomy;
 //! - [`PolicyKind`] — the selector wired through `TrafficConfig`,
 //!   `Scenario`, and the serve protocol's `cache` mutation op;
-//! - [`PolicyFleet`] — an enum over the four concrete fleets. The traffic
-//!   hot path dispatches through a `match` (static dispatch per arm, no
-//!   vtable), which keeps the PR 6 throughput contract; the trait object
-//!   path exists for generic callers.
+//! - the eviction orders behind [`PolicyFleet`]: LRU (below), SIEVE,
+//!   S3-FIFO and W-TinyLFU (their own modules). The store in
+//!   `fleet.rs` does everything that is the same for every policy —
+//!   lookup, oversize rejection, refresh expiry, byte accounting, the
+//!   departure taxonomy and TTL expiry — and an order only keeps its own
+//!   lists and per-entry metadata. The hot path dispatches through a
+//!   four-arm `match` on a private enum (static dispatch per arm, no
+//!   vtable).
 //!
-//! All four implementations are flat-SoA intrusive structures over the
-//! shared `EntryArena` and are pinned decision-for-decision
-//! to naive map/VecDeque references in `tests/policy_oracle.rs`.
+//! All four orders are intrusive lists over the shared `EntryArena` and
+//! are pinned decision-for-decision to naive map/VecDeque references in
+//! `tests/policy_oracle.rs`.
 
+use crate::arena::{EntryArena, List, NIL};
 use crate::catalog::ContentId;
-use crate::fleet::FleetCache;
-use crate::s3fifo::S3FifoFleet;
-use crate::sieve::SieveFleet;
-use crate::tinylfu::TinyLfuFleet;
-use spacecdn_geo::{SimDuration, SimTime};
+use crate::fleet::Store;
+use crate::s3fifo::S3Fifo;
+use crate::sieve::Sieve;
+use crate::tinylfu::TinyLfu;
+
+pub use crate::fleet::PolicyFleet;
 
 /// Hit/miss counters shared by all policies.
 ///
 /// The departure taxonomy is unified across every policy: an entry leaves
 /// a cache for exactly one of three reasons — **evicted** under capacity
 /// pressure (including admission-filter rejections that drop a window
-/// candidate), **expired** when its TTL lapsed before any probe touched
-/// it, or **invalidated** by an explicit `remove`/`clear_sat`. The books
+/// candidate), **expired** when the clock passed its TTL, or
+/// **invalidated** by an explicit `remove`/`clear_sat`. The books
 /// balance: `hits + misses == gets` and
 /// `evictions + expirations + invalidations == inserts - len`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,7 +52,7 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Objects evicted to make room.
     pub evictions: u64,
-    /// Objects dropped because their TTL lapsed (any purge path).
+    /// Objects dropped because their TTL lapsed.
     pub expirations: u64,
     /// Objects dropped by explicit `remove` or `clear`.
     pub invalidations: u64,
@@ -76,7 +78,7 @@ impl CacheStats {
 /// Which eviction/admission policy a cache fleet runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
-    /// LRU with TTL expiry — the PR 6 baseline ([`FleetCache`]).
+    /// LRU with TTL expiry — the baseline.
     #[default]
     LruTtl,
     /// SIEVE: FIFO queue with a visited bit and a lazily sweeping hand.
@@ -132,394 +134,160 @@ impl PolicyKind {
     }
 }
 
-/// A whole constellation's caches behind one eviction/admission policy.
-///
-/// The shape mirrors [`FleetCache`]: satellites are dense `u32` slots, one
-/// byte capacity and one TTL fleet-wide, a monotone fleet-global clock.
-/// Implementations must report **every** departure — eviction victims
-/// through `insert_collect`'s `evicted` vector, duty-cycle drops through
-/// `clear_sat`'s `dropped` vector — because the traffic engine prunes its
-/// per-content holder lists eagerly and a silent drop would desynchronize
-/// them (caught by a `debug_assert` on the serve path).
-pub trait CachePolicy {
-    /// Canonical policy name (matches [`PolicyKind::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Advance the clock (monotonically; moving backwards is clamped).
-    fn set_now(&mut self, now: SimTime);
-
-    /// The current clock.
-    fn now(&self) -> SimTime;
-
-    /// Number of satellite slots.
-    fn sat_count(&self) -> usize;
-
-    /// Per-satellite byte capacity.
-    fn capacity_bytes_per_sat(&self) -> u64;
-
-    /// The freshness lifetime applied to every insert.
-    fn ttl(&self) -> SimDuration;
-
-    /// Objects cached on one satellite (expired-but-untouched included).
-    fn len_of(&self, sat: u32) -> usize;
-
-    /// Bytes cached on one satellite.
-    fn used_bytes_of(&self, sat: u32) -> u64;
-
-    /// Objects cached fleet-wide.
-    fn len(&self) -> usize;
-
-    /// True when no satellite caches anything.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fleet-wide counters under the unified taxonomy.
-    fn stats(&self) -> CacheStats;
-
-    /// Look up an object: a fresh hit updates the policy's recency or
-    /// frequency state; an expired entry is purged and counted as a miss.
-    fn get(&mut self, sat: u32, content: ContentId) -> bool;
-
-    /// Presence without side effects (counters and policy state untouched).
-    fn contains(&self, sat: u32, content: ContentId) -> bool;
-
-    /// Freshness check that reclaims: an entry found expired is purged and
-    /// counted; a live entry is left untouched.
-    fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool;
-
-    /// Drop `(sat, content)` if present *and* its TTL has lapsed, counting
-    /// an expiration; a live or absent entry is untouched.
-    fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool;
-
-    /// Insert an object, evicting per policy as needed; returns false
-    /// (caching nothing) when the object exceeds the satellite capacity.
-    /// Re-inserting a live object refreshes policy state and expiry but
-    /// keeps the originally stored size. Every entry dropped by the
-    /// operation — victims, and under admission policies possibly the
-    /// inserted object itself — is appended to `evicted`.
-    fn insert_collect(
-        &mut self,
-        sat: u32,
-        content: ContentId,
-        size: u64,
-        evicted: &mut Vec<ContentId>,
-    ) -> bool;
-
-    /// Remove an object if present (fresh or expired), booking an
-    /// invalidation; returns whether it was there.
-    fn remove(&mut self, sat: u32, content: ContentId) -> bool;
-
-    /// Wipe one satellite's cache (each drop books an invalidation),
-    /// appending every dropped content id to `dropped`; returns how many.
-    fn clear_sat(&mut self, sat: u32, dropped: &mut Vec<ContentId>) -> u64;
-
-    /// Satellites currently holding at least one object, as
-    /// `(sat, entries, bytes)` in slot order, appended to `out`.
-    fn occupied_into(&self, out: &mut Vec<(u32, u32, u64)>);
+/// A policy's eviction order: its lists and per-entry metadata, and the
+/// four decisions a policy makes — what a hit or refresh does to an
+/// entry ([`Order::touch`]), where a new entry links and which entry is
+/// the victim ([`Order::insert`]), and in what order a wiped satellite
+/// drops its entries ([`Order::first`]).
+pub(crate) enum Order {
+    Lru(Lru),
+    Sieve(Sieve),
+    S3Fifo(S3Fifo),
+    TinyLfu(TinyLfu),
 }
 
-impl CachePolicy for FleetCache {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-    fn set_now(&mut self, now: SimTime) {
-        FleetCache::set_now(self, now)
-    }
-    fn now(&self) -> SimTime {
-        FleetCache::now(self)
-    }
-    fn sat_count(&self) -> usize {
-        FleetCache::sat_count(self)
-    }
-    fn capacity_bytes_per_sat(&self) -> u64 {
-        FleetCache::capacity_bytes_per_sat(self)
-    }
-    fn ttl(&self) -> SimDuration {
-        FleetCache::ttl(self)
-    }
-    fn len_of(&self, sat: u32) -> usize {
-        FleetCache::len_of(self, sat)
-    }
-    fn used_bytes_of(&self, sat: u32) -> u64 {
-        FleetCache::used_bytes_of(self, sat)
-    }
-    fn len(&self) -> usize {
-        FleetCache::len(self)
-    }
-    fn stats(&self) -> CacheStats {
-        FleetCache::stats(self)
-    }
-    fn get(&mut self, sat: u32, content: ContentId) -> bool {
-        FleetCache::get(self, sat, content)
-    }
-    fn contains(&self, sat: u32, content: ContentId) -> bool {
-        FleetCache::contains(self, sat, content)
-    }
-    fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool {
-        FleetCache::is_fresh(self, sat, content)
-    }
-    fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool {
-        FleetCache::expire_if_due(self, sat, content)
-    }
-    fn insert_collect(
-        &mut self,
-        sat: u32,
-        content: ContentId,
-        size: u64,
-        evicted: &mut Vec<ContentId>,
-    ) -> bool {
-        FleetCache::insert_collect(self, sat, content, size, evicted)
-    }
-    fn remove(&mut self, sat: u32, content: ContentId) -> bool {
-        FleetCache::remove(self, sat, content)
-    }
-    fn clear_sat(&mut self, sat: u32, dropped: &mut Vec<ContentId>) -> u64 {
-        FleetCache::clear_sat(self, sat, dropped)
-    }
-    fn occupied_into(&self, out: &mut Vec<(u32, u32, u64)>) {
-        out.extend(self.occupied());
-    }
-}
-
-/// Static-dispatch wrapper over the four concrete policy fleets.
-///
-/// The traffic engine stores one of these per shard; every hot-path call
-/// goes through a four-arm `match` that monomorphizes per policy instead of
-/// an indirect call. `PolicyFleet` itself also implements [`CachePolicy`]
-/// for generic callers.
-pub enum PolicyFleet {
-    /// LRU+TTL baseline.
-    LruTtl(FleetCache),
-    /// SIEVE.
-    Sieve(SieveFleet),
-    /// S3-FIFO.
-    S3Fifo(S3FifoFleet),
-    /// Window-TinyLFU.
-    TinyLfu(TinyLfuFleet),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            PolicyFleet::LruTtl($p) => $body,
-            PolicyFleet::Sieve($p) => $body,
-            PolicyFleet::S3Fifo($p) => $body,
-            PolicyFleet::TinyLfu($p) => $body,
-        }
-    };
-}
-
-impl PolicyFleet {
-    /// Build a fleet of `sats` empty caches running `kind`, each with
-    /// `capacity_bytes` and entries expiring `ttl` after insertion.
-    ///
-    /// # Panics
-    /// Panics on a zero TTL — that cache could never serve anything.
-    pub fn new(kind: PolicyKind, sats: usize, capacity_bytes: u64, ttl: SimDuration) -> Self {
+impl Order {
+    pub fn new(kind: PolicyKind, sats: usize, capacity: u64) -> Self {
         match kind {
-            PolicyKind::LruTtl => PolicyFleet::LruTtl(FleetCache::new(sats, capacity_bytes, ttl)),
-            PolicyKind::Sieve => PolicyFleet::Sieve(SieveFleet::new(sats, capacity_bytes, ttl)),
-            PolicyKind::S3Fifo => PolicyFleet::S3Fifo(S3FifoFleet::new(sats, capacity_bytes, ttl)),
-            PolicyKind::TinyLfu => {
-                PolicyFleet::TinyLfu(TinyLfuFleet::new(sats, capacity_bytes, ttl))
-            }
+            PolicyKind::LruTtl => Order::Lru(Lru::new(sats)),
+            PolicyKind::Sieve => Order::Sieve(Sieve::new(sats)),
+            PolicyKind::S3Fifo => Order::S3Fifo(S3Fifo::new(sats, capacity)),
+            PolicyKind::TinyLfu => Order::TinyLfu(TinyLfu::new(sats, capacity)),
         }
     }
 
-    /// Which policy this fleet runs.
     pub fn kind(&self) -> PolicyKind {
         match self {
-            PolicyFleet::LruTtl(_) => PolicyKind::LruTtl,
-            PolicyFleet::Sieve(_) => PolicyKind::Sieve,
-            PolicyFleet::S3Fifo(_) => PolicyKind::S3Fifo,
-            PolicyFleet::TinyLfu(_) => PolicyKind::TinyLfu,
+            Order::Lru(_) => PolicyKind::LruTtl,
+            Order::Sieve(_) => PolicyKind::Sieve,
+            Order::S3Fifo(_) => PolicyKind::S3Fifo,
+            Order::TinyLfu(_) => PolicyKind::TinyLfu,
         }
     }
 
-    /// See [`CachePolicy::set_now`].
+    /// Every `get` and `insert_collect`, before anything else: TinyLFU
+    /// counts the request in its sketch, whatever the outcome.
     #[inline]
-    pub fn set_now(&mut self, now: SimTime) {
-        dispatch!(self, p => p.set_now(now))
+    pub fn on_request(&mut self, sat: u32, content: ContentId) {
+        if let Order::TinyLfu(o) = self {
+            o.on_request(sat, content);
+        }
     }
 
-    /// See [`CachePolicy::now`].
+    /// A hit on, or a refresh of, entry `e` on `sat`.
     #[inline]
-    pub fn now(&self) -> SimTime {
-        dispatch!(self, p => p.now())
+    pub fn touch(&mut self, a: &mut EntryArena, sat: u32, e: u32) {
+        match self {
+            Order::Lru(o) => o.touch(a, sat, e),
+            Order::Sieve(o) => o.touch(e),
+            Order::S3Fifo(o) => o.touch(e),
+            Order::TinyLfu(o) => o.touch(a, sat, e),
+        }
     }
 
-    /// See [`CachePolicy::sat_count`].
-    pub fn sat_count(&self) -> usize {
-        dispatch!(self, p => p.sat_count())
-    }
-
-    /// See [`CachePolicy::capacity_bytes_per_sat`].
-    pub fn capacity_bytes_per_sat(&self) -> u64 {
-        dispatch!(self, p => p.capacity_bytes_per_sat())
-    }
-
-    /// See [`CachePolicy::ttl`].
-    pub fn ttl(&self) -> SimDuration {
-        dispatch!(self, p => p.ttl())
-    }
-
-    /// See [`CachePolicy::len_of`].
+    /// Admit a new `(sat, content)`: evict victims through
+    /// [`Store::evict`] as the policy decides, allocate the entry with
+    /// [`Store::alloc`] and link it.
     #[inline]
-    pub fn len_of(&self, sat: u32) -> usize {
-        dispatch!(self, p => p.len_of(sat))
-    }
-
-    /// See [`CachePolicy::used_bytes_of`].
-    #[inline]
-    pub fn used_bytes_of(&self, sat: u32) -> u64 {
-        dispatch!(self, p => p.used_bytes_of(sat))
-    }
-
-    /// See [`CachePolicy::len`].
-    pub fn len(&self) -> usize {
-        dispatch!(self, p => p.len())
-    }
-
-    /// True when no satellite caches anything.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// See [`CachePolicy::stats`].
-    pub fn stats(&self) -> CacheStats {
-        dispatch!(self, p => p.stats())
-    }
-
-    /// Entries dropped because their TTL lapsed — `stats().expirations`.
-    pub fn expired_purges(&self) -> u64 {
-        self.stats().expirations
-    }
-
-    /// See [`CachePolicy::get`].
-    #[inline]
-    pub fn get(&mut self, sat: u32, content: ContentId) -> bool {
-        dispatch!(self, p => p.get(sat, content))
-    }
-
-    /// See [`CachePolicy::contains`].
-    #[inline]
-    pub fn contains(&self, sat: u32, content: ContentId) -> bool {
-        dispatch!(self, p => p.contains(sat, content))
-    }
-
-    /// See [`CachePolicy::is_fresh`].
-    #[inline]
-    pub fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool {
-        dispatch!(self, p => p.is_fresh(sat, content))
-    }
-
-    /// See [`CachePolicy::expire_if_due`].
-    #[inline]
-    pub fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool {
-        dispatch!(self, p => p.expire_if_due(sat, content))
-    }
-
-    /// See [`CachePolicy::insert_collect`].
-    #[inline]
-    pub fn insert_collect(
+    pub fn insert(
         &mut self,
+        s: &mut Store,
         sat: u32,
         content: ContentId,
         size: u64,
         evicted: &mut Vec<ContentId>,
-    ) -> bool {
-        dispatch!(self, p => p.insert_collect(sat, content, size, evicted))
+    ) {
+        match self {
+            Order::Lru(o) => o.insert(s, sat, content, size, evicted),
+            Order::Sieve(o) => o.insert(s, sat, content, size, evicted),
+            Order::S3Fifo(o) => o.insert(s, sat, content, size, evicted),
+            Order::TinyLfu(o) => o.insert(s, sat, content, size, evicted),
+        }
     }
 
-    /// [`CachePolicy::insert_collect`] without victim reporting.
-    pub fn insert(&mut self, sat: u32, content: ContentId, size: u64) -> bool {
-        let mut sink = Vec::new();
-        self.insert_collect(sat, content, size, &mut sink)
+    /// Take entry `e` off whichever list holds it, ahead of its release.
+    pub fn unlink(&mut self, a: &mut EntryArena, e: u32) {
+        match self {
+            Order::Lru(o) => o.unlink(a, e),
+            Order::Sieve(o) => o.unlink(a, e),
+            Order::S3Fifo(o) => o.unlink(a, e),
+            Order::TinyLfu(o) => o.unlink(a, e),
+        }
     }
 
-    /// See [`CachePolicy::remove`].
-    pub fn remove(&mut self, sat: u32, content: ContentId) -> bool {
-        dispatch!(self, p => p.remove(sat, content))
+    /// The entry `clear_sat` drops next on `sat`, if any.
+    pub fn first(&self, sat: u32) -> Option<u32> {
+        let e = match self {
+            Order::Lru(o) => o.list[sat as usize].head,
+            Order::Sieve(o) => o.first(sat),
+            Order::S3Fifo(o) => o.first(sat),
+            Order::TinyLfu(o) => o.first(sat),
+        };
+        (e != NIL).then_some(e)
     }
 
-    /// See [`CachePolicy::clear_sat`].
-    pub fn clear_sat(&mut self, sat: u32, dropped: &mut Vec<ContentId>) -> u64 {
-        dispatch!(self, p => p.clear_sat(sat, dropped))
-    }
-
-    /// See [`CachePolicy::occupied_into`].
-    pub fn occupied_into(&self, out: &mut Vec<(u32, u32, u64)>) {
-        dispatch!(self, p => p.occupied_into(out))
+    /// `sat` was wiped: drop any per-satellite history.
+    pub fn cleared(&mut self, sat: u32) {
+        match self {
+            Order::Lru(_) | Order::TinyLfu(_) => {}
+            Order::Sieve(o) => o.cleared(sat),
+            Order::S3Fifo(o) => o.cleared(sat),
+        }
     }
 }
 
-impl CachePolicy for PolicyFleet {
-    fn name(&self) -> &'static str {
-        self.kind().name()
+/// LRU: one list per satellite; a hit or refresh moves the entry to the
+/// head, new entries link at the head, and the tail is the victim.
+pub(crate) struct Lru {
+    list: Vec<List>,
+}
+
+impl Lru {
+    fn new(sats: usize) -> Self {
+        Lru {
+            list: vec![List::EMPTY; sats],
+        }
     }
-    fn set_now(&mut self, now: SimTime) {
-        PolicyFleet::set_now(self, now)
+
+    #[inline]
+    fn touch(&mut self, a: &mut EntryArena, sat: u32, e: u32) {
+        let list = &mut self.list[sat as usize];
+        // Zipf-hot entries are usually already most-recent; the relink
+        // (six scattered link writes) is pure overhead then.
+        if list.head != e {
+            a.unlink(list, e);
+            a.push_front(list, e);
+        }
     }
-    fn now(&self) -> SimTime {
-        PolicyFleet::now(self)
-    }
-    fn sat_count(&self) -> usize {
-        PolicyFleet::sat_count(self)
-    }
-    fn capacity_bytes_per_sat(&self) -> u64 {
-        PolicyFleet::capacity_bytes_per_sat(self)
-    }
-    fn ttl(&self) -> SimDuration {
-        PolicyFleet::ttl(self)
-    }
-    fn len_of(&self, sat: u32) -> usize {
-        PolicyFleet::len_of(self, sat)
-    }
-    fn used_bytes_of(&self, sat: u32) -> u64 {
-        PolicyFleet::used_bytes_of(self, sat)
-    }
-    fn len(&self) -> usize {
-        PolicyFleet::len(self)
-    }
-    fn stats(&self) -> CacheStats {
-        PolicyFleet::stats(self)
-    }
-    fn get(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::get(self, sat, content)
-    }
-    fn contains(&self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::contains(self, sat, content)
-    }
-    fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::is_fresh(self, sat, content)
-    }
-    fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::expire_if_due(self, sat, content)
-    }
-    fn insert_collect(
+
+    fn insert(
         &mut self,
+        s: &mut Store,
         sat: u32,
         content: ContentId,
         size: u64,
         evicted: &mut Vec<ContentId>,
-    ) -> bool {
-        PolicyFleet::insert_collect(self, sat, content, size, evicted)
+    ) {
+        let list = &mut self.list[sat as usize];
+        while s.over(sat, size) {
+            let victim = list.tail;
+            debug_assert_ne!(victim, NIL, "eviction loop with an empty list");
+            s.arena.unlink(list, victim);
+            s.evict(victim, evicted);
+        }
+        let e = s.alloc(sat, content, size);
+        s.arena.push_front(list, e);
     }
-    fn remove(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::remove(self, sat, content)
-    }
-    fn clear_sat(&mut self, sat: u32, dropped: &mut Vec<ContentId>) -> u64 {
-        PolicyFleet::clear_sat(self, sat, dropped)
-    }
-    fn occupied_into(&self, out: &mut Vec<(u32, u32, u64)>) {
-        dispatch!(self, p => p.occupied_into(out))
+
+    fn unlink(&mut self, a: &mut EntryArena, e: u32) {
+        a.unlink(&mut self.list[a.sat[e as usize] as usize], e);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spacecdn_geo::{SimDuration, SimTime};
 
     #[test]
     fn hit_ratio_math() {
@@ -546,7 +314,6 @@ mod tests {
         for kind in PolicyKind::ALL {
             let mut f = PolicyFleet::new(kind, 2, 1_000, SimDuration::from_secs(60));
             assert_eq!(f.kind(), kind);
-            assert_eq!(CachePolicy::name(&f), kind.name());
             assert_eq!(f.sat_count(), 2);
             assert_eq!(f.capacity_bytes_per_sat(), 1_000);
             assert!(f.is_empty());
@@ -578,13 +345,17 @@ mod tests {
             let mut f = PolicyFleet::new(kind, 1, 1_000, SimDuration::from_secs(60));
             f.insert(0, ContentId(1), 100);
             f.insert(0, ContentId(2), 100);
-            f.set_now(SimTime::from_secs(60));
+            let expired = f.set_now(SimTime::from_secs(60)).to_vec();
+            assert_eq!(
+                expired,
+                [(0, ContentId(1)), (0, ContentId(2))],
+                "{}",
+                kind.name()
+            );
             assert!(!f.contains(0, ContentId(1)), "{}", kind.name());
-            assert!(!f.is_fresh(0, ContentId(1)), "{}", kind.name());
-            assert!(f.expire_if_due(0, ContentId(2)), "{}", kind.name());
-            assert_eq!(f.expired_purges(), 2, "{}", kind.name());
-            assert_eq!(f.stats().expirations, 2);
+            assert_eq!(f.stats().expirations, 2, "{}", kind.name());
             assert_eq!(f.len_of(0), 0);
+            assert_eq!(f.used_bytes_of(0), 0);
             // Books balance after expiry.
             let s = f.stats();
             assert_eq!(s.departures(), s.inserts - f.len() as u64);

@@ -2,7 +2,7 @@
 //!
 //! A 4-row count-min sketch with 4-bit saturating counters estimates how
 //! often a key has been requested without storing per-key state — the
-//! admission filter for [`crate::tinylfu::TinyLfuFleet`] compares the sketch
+//! admission filter of the W-TinyLFU order in `tinylfu.rs` compares the sketch
 //! estimate of a window candidate against the main-cache victim it would
 //! displace. Counters periodically halve (the TinyLFU "reset") so the
 //! sketch tracks *recent* popularity: once `sample_size` increments have

@@ -1,4 +1,4 @@
-//! Window-TinyLFU eviction as a flat-SoA cache fleet.
+//! Window-TinyLFU eviction order.
 //!
 //! W-TinyLFU (Einziger et al.) splits each satellite's capacity into a tiny
 //! LRU **window** (~1%) where every new object lands, and an SLRU **main**
@@ -18,17 +18,16 @@
 //! thread count. The exact decision procedure is mirrored naively by the
 //! oracle in `tests/policy_oracle.rs`.
 //!
-//! Fleet shape, TTL handling and the unified [`CacheStats`] taxonomy match
-//! [`crate::fleet::FleetCache`]. Every departure — main victims *and*
-//! rejected candidates (which may be the object just inserted) — is
-//! reported through `insert_collect`'s `evicted` vector so the traffic
-//! engine's holder lists stay eagerly correct.
+//! Lookup, expiry, byte accounting and the departure taxonomy live in the
+//! store ([`crate::fleet`]). Every departure — main victims *and* rejected
+//! candidates (which may be the object just inserted) — goes through the
+//! store's eviction path, so it is reported in `insert_collect`'s
+//! `evicted` vector.
 
 use crate::arena::{meta_set, EntryArena, List, NIL};
 use crate::catalog::ContentId;
-use crate::policy::{CachePolicy, CacheStats};
+use crate::fleet::Store;
 use crate::sketch::FrequencySketch;
-use spacecdn_geo::{SimDuration, SimTime};
 
 /// Segment tags.
 const SEG_WINDOW: u8 = 0;
@@ -42,167 +41,105 @@ fn sketch_key(sat: u32, content: ContentId) -> u64 {
     (u64::from(sat) << 40) ^ content.0
 }
 
-/// A whole constellation's W-TinyLFU caches in flat parallel arrays.
-pub struct TinyLfuFleet {
-    sat_capacity: u64,
+/// Per-satellite W-TinyLFU segments over the shared arena.
+pub(crate) struct TinyLfu {
     /// Window byte budget: `capacity / 100`, min 1.
     window_cap: u64,
     /// Main-region byte budget: `capacity - window_cap`.
     main_cap: u64,
     /// Protected-segment byte budget: `4/5` of main.
     protected_cap: u64,
-    ttl: SimDuration,
-    now: SimTime,
-    // Per-satellite state, indexed by satellite slot.
-    window: Vec<List>,
-    probation: Vec<List>,
-    protected: Vec<List>,
-    w_used: Vec<u64>,
-    prob_used: Vec<u64>,
-    prot_used: Vec<u64>,
-    count: Vec<u32>,
-    // Entry arena + per-entry policy metadata.
-    arena: EntryArena,
+    /// Segment lists and their bytes, indexed `[segment][sat]`.
+    lists: [Vec<List>; 3],
+    seg_used: [Vec<u64>; 3],
     seg: Vec<u8>,
     sketch: FrequencySketch,
-    stats: CacheStats,
 }
 
-impl TinyLfuFleet {
-    /// A fleet of `sats` empty W-TinyLFU caches.
-    ///
-    /// # Panics
-    /// Panics on a zero TTL — that cache could never serve anything.
-    pub fn new(sats: usize, capacity_bytes: u64, ttl: SimDuration) -> Self {
-        assert!(ttl > SimDuration::ZERO, "TTL must be positive");
-        let window_cap = (capacity_bytes / 100).max(1);
-        let main_cap = capacity_bytes.saturating_sub(window_cap);
-        TinyLfuFleet {
-            sat_capacity: capacity_bytes,
+impl TinyLfu {
+    pub fn new(sats: usize, capacity: u64) -> Self {
+        let window_cap = (capacity / 100).max(1);
+        let main_cap = capacity.saturating_sub(window_cap);
+        TinyLfu {
             window_cap,
             main_cap,
             protected_cap: main_cap * 4 / 5,
-            ttl,
-            now: SimTime::EPOCH,
-            window: vec![List::EMPTY; sats],
-            probation: vec![List::EMPTY; sats],
-            protected: vec![List::EMPTY; sats],
-            w_used: vec![0; sats],
-            prob_used: vec![0; sats],
-            prot_used: vec![0; sats],
-            count: vec![0; sats],
-            arena: EntryArena::new(),
+            lists: std::array::from_fn(|_| vec![List::EMPTY; sats]),
+            seg_used: std::array::from_fn(|_| vec![0; sats]),
             seg: Vec::new(),
             sketch: FrequencySketch::with_entries(sats.max(1) * 64),
-            stats: CacheStats::default(),
         }
     }
 
+    /// Count a request in the admission sketch.
     #[inline]
-    fn lapsed(&self, e: u32) -> bool {
-        self.now >= self.arena.expiry[e as usize]
+    pub fn on_request(&mut self, sat: u32, content: ContentId) {
+        self.sketch.increment(sketch_key(sat, content));
     }
 
-    /// Unlink `e` from its segment, adjusting that segment's byte count.
-    fn unlink_entry(&mut self, e: u32) {
+    /// Link `e` at the head of segment `seg`.
+    fn link(&mut self, a: &mut EntryArena, e: u32, seg: u8) {
+        let (sat, size) = (a.sat[e as usize] as usize, a.size[e as usize]);
+        a.push_front(&mut self.lists[seg as usize][sat], e);
+        self.seg_used[seg as usize][sat] += size;
+        self.seg[e as usize] = seg;
+    }
+
+    /// Take `e` off its segment.
+    pub fn unlink(&mut self, a: &mut EntryArena, e: u32) {
+        let (sat, size) = (a.sat[e as usize] as usize, a.size[e as usize]);
+        let seg = self.seg[e as usize] as usize;
+        a.unlink(&mut self.lists[seg][sat], e);
+        self.seg_used[seg][sat] -= size;
+    }
+
+    /// A hit or refresh: window/protected entries bump to their list head;
+    /// probation entries promote to protected, demoting protected tails
+    /// back to probation as needed.
+    pub fn touch(&mut self, a: &mut EntryArena, sat: u32, e: u32) {
         let i = e as usize;
-        let sat = self.arena.sat[i] as usize;
-        let size = self.arena.size[i];
-        match self.seg[i] {
-            SEG_WINDOW => {
-                let mut list = self.window[sat];
-                self.arena.unlink(&mut list, e);
-                self.window[sat] = list;
-                self.w_used[sat] -= size;
+        let sat = sat as usize;
+        let size = a.size[i];
+        let seg = self.seg[i];
+        if seg != SEG_PROBATION || size > self.protected_cap {
+            // Window, protected, or too big to ever protect: bump in place.
+            let list = &mut self.lists[seg as usize][sat];
+            if list.head != e {
+                a.unlink(list, e);
+                a.push_front(list, e);
             }
-            SEG_PROBATION => {
-                let mut list = self.probation[sat];
-                self.arena.unlink(&mut list, e);
-                self.probation[sat] = list;
-                self.prob_used[sat] -= size;
-            }
-            _ => {
-                let mut list = self.protected[sat];
-                self.arena.unlink(&mut list, e);
-                self.protected[sat] = list;
-                self.prot_used[sat] -= size;
-            }
+            return;
         }
-        self.count[sat] -= 1;
+        self.unlink(a, e);
+        let protected = SEG_PROTECTED as usize;
+        while self.seg_used[protected][sat] + size > self.protected_cap {
+            let demote = self.lists[protected][sat].tail;
+            debug_assert_ne!(demote, NIL, "protected bytes without entries");
+            self.unlink(a, demote);
+            self.link(a, demote, SEG_PROBATION);
+        }
+        self.link(a, e, SEG_PROTECTED);
     }
 
-    /// Detach entry `e` entirely.
-    fn release(&mut self, e: u32) {
-        self.unlink_entry(e);
-        self.arena.release(e);
-    }
-
-    /// Drop an entry already unlinked from every list.
-    fn drop_unlinked(&mut self, e: u32) {
-        let sat = self.arena.sat[e as usize] as usize;
-        self.count[sat] -= 1;
-        self.arena.release(e);
-    }
-
-    /// Hit-path segment movement: window/protected entries bump to their
-    /// list head; probation entries promote to protected, demoting
-    /// protected tails back to probation as needed.
-    fn touch_hit(&mut self, e: u32) {
-        let i = e as usize;
-        let sat = self.arena.sat[i] as usize;
-        let size = self.arena.size[i];
-        match self.seg[i] {
-            SEG_WINDOW => {
-                let mut list = self.window[sat];
-                if list.head != e {
-                    self.arena.unlink(&mut list, e);
-                    self.arena.push_front(&mut list, e);
-                    self.window[sat] = list;
-                }
-            }
-            SEG_PROTECTED => {
-                let mut list = self.protected[sat];
-                if list.head != e {
-                    self.arena.unlink(&mut list, e);
-                    self.arena.push_front(&mut list, e);
-                    self.protected[sat] = list;
-                }
-            }
-            _ => {
-                if size > self.protected_cap {
-                    // Too big to ever protect: bump within probation.
-                    let mut list = self.probation[sat];
-                    if list.head != e {
-                        self.arena.unlink(&mut list, e);
-                        self.arena.push_front(&mut list, e);
-                        self.probation[sat] = list;
-                    }
-                    return;
-                }
-                let mut list = self.probation[sat];
-                self.arena.unlink(&mut list, e);
-                self.probation[sat] = list;
-                self.prob_used[sat] -= size;
-                while self.prot_used[sat] + size > self.protected_cap {
-                    let demote = self.protected[sat].tail;
-                    debug_assert_ne!(demote, NIL, "protected bytes without entries");
-                    let dsize = self.arena.size[demote as usize];
-                    let mut list = self.protected[sat];
-                    self.arena.unlink(&mut list, demote);
-                    self.protected[sat] = list;
-                    self.prot_used[sat] -= dsize;
-                    let mut list = self.probation[sat];
-                    self.arena.push_front(&mut list, demote);
-                    self.probation[sat] = list;
-                    self.prob_used[sat] += dsize;
-                    self.seg[demote as usize] = SEG_PROBATION;
-                }
-                let mut list = self.protected[sat];
-                self.arena.push_front(&mut list, e);
-                self.protected[sat] = list;
-                self.prot_used[sat] += size;
-                self.seg[i] = SEG_PROTECTED;
-            }
+    /// Link the new entry at the window head, then shed window overflow
+    /// through the admission filter.
+    pub fn insert(
+        &mut self,
+        s: &mut Store,
+        sat: u32,
+        content: ContentId,
+        size: u64,
+        evicted: &mut Vec<ContentId>,
+    ) {
+        let e = s.alloc(sat, content, size);
+        meta_set(&mut self.seg, e, SEG_WINDOW);
+        self.link(&mut s.arena, e, SEG_WINDOW);
+        let sl = sat as usize;
+        while self.seg_used[SEG_WINDOW as usize][sl] > self.window_cap {
+            let cand = self.lists[SEG_WINDOW as usize][sl].tail;
+            debug_assert_ne!(cand, NIL, "window bytes without entries");
+            self.unlink(&mut s.arena, cand);
+            self.admit_to_main(s, cand, evicted);
         }
     }
 
@@ -210,250 +147,86 @@ impl TinyLfuFleet {
     /// (already unlinked from the window): evict sketch-colder main
     /// victims until it fits, or evict the candidate itself the moment an
     /// incumbent matches it. Ties favour the incumbent.
-    fn admit_to_main(&mut self, cand: u32, evicted: &mut Vec<ContentId>) {
+    fn admit_to_main(&mut self, s: &mut Store, cand: u32, evicted: &mut Vec<ContentId>) {
         let i = cand as usize;
-        let sat = self.arena.sat[i];
-        let s = sat as usize;
-        let csize = self.arena.size[i];
+        let sat = s.arena.sat[i];
+        let sl = sat as usize;
+        let csize = s.arena.size[i];
         if csize > self.main_cap {
-            evicted.push(self.arena.content[i]);
-            self.drop_unlinked(cand);
-            self.stats.evictions += 1;
+            s.evict(cand, evicted);
             return;
         }
-        let cand_est = self.sketch.estimate(sketch_key(sat, self.arena.content[i]));
-        while self.prob_used[s] + self.prot_used[s] + csize > self.main_cap {
-            let victim = if self.probation[s].tail != NIL {
-                self.probation[s].tail
+        let cand_est = self.sketch.estimate(sketch_key(sat, s.arena.content[i]));
+        let (prob, prot) = (SEG_PROBATION as usize, SEG_PROTECTED as usize);
+        while self.seg_used[prob][sl] + self.seg_used[prot][sl] + csize > self.main_cap {
+            let victim = if self.lists[prob][sl].tail != NIL {
+                self.lists[prob][sl].tail
             } else {
-                self.protected[s].tail
+                self.lists[prot][sl].tail
             };
             debug_assert_ne!(victim, NIL, "main bytes without entries");
-            let vkey = sketch_key(sat, self.arena.content[victim as usize]);
+            let vkey = sketch_key(sat, s.arena.content[victim as usize]);
             if cand_est > self.sketch.estimate(vkey) {
-                evicted.push(self.arena.content[victim as usize]);
-                self.release(victim);
-                self.stats.evictions += 1;
+                self.unlink(&mut s.arena, victim);
+                s.evict(victim, evicted);
             } else {
-                evicted.push(self.arena.content[i]);
-                self.drop_unlinked(cand);
-                self.stats.evictions += 1;
+                s.evict(cand, evicted);
                 return;
             }
         }
-        let mut list = self.probation[s];
-        self.arena.push_front(&mut list, cand);
-        self.probation[s] = list;
-        self.prob_used[s] += csize;
-        self.seg[i] = SEG_PROBATION;
+        self.link(&mut s.arena, cand, SEG_PROBATION);
     }
 
-    /// Shed window overflow through the admission filter.
-    fn rebalance_window(&mut self, sat: u32, evicted: &mut Vec<ContentId>) {
+    /// `clear_sat` drops the window head to tail, then probation, then
+    /// protected.
+    pub fn first(&self, sat: u32) -> u32 {
         let s = sat as usize;
-        while self.w_used[s] > self.window_cap {
-            let cand = self.window[s].tail;
-            debug_assert_ne!(cand, NIL, "window bytes without entries");
-            let mut list = self.window[s];
-            self.arena.unlink(&mut list, cand);
-            self.window[s] = list;
-            self.w_used[s] -= self.arena.size[cand as usize];
-            self.admit_to_main(cand, evicted);
-        }
-    }
-
-    /// The admission sketch (diagnostics and tests).
-    pub fn sketch(&self) -> &FrequencySketch {
-        &self.sketch
-    }
-}
-
-impl CachePolicy for TinyLfuFleet {
-    fn name(&self) -> &'static str {
-        "tinylfu"
-    }
-
-    fn set_now(&mut self, now: SimTime) {
-        self.now = self.now.max(now);
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn sat_count(&self) -> usize {
-        self.window.len()
-    }
-
-    fn capacity_bytes_per_sat(&self) -> u64 {
-        self.sat_capacity
-    }
-
-    fn ttl(&self) -> SimDuration {
-        self.ttl
-    }
-
-    fn len_of(&self, sat: u32) -> usize {
-        self.count[sat as usize] as usize
-    }
-
-    fn used_bytes_of(&self, sat: u32) -> u64 {
-        let s = sat as usize;
-        self.w_used[s] + self.prob_used[s] + self.prot_used[s]
-    }
-
-    fn len(&self) -> usize {
-        self.count.iter().map(|&n| n as usize).sum()
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    fn get(&mut self, sat: u32, content: ContentId) -> bool {
-        self.sketch.increment(sketch_key(sat, content));
-        self.stats.gets += 1;
-        match self.arena.lookup(sat, content) {
-            Some(e) if self.lapsed(e) => {
-                self.release(e);
-                self.stats.expirations += 1;
-                self.stats.misses += 1;
-                false
-            }
-            Some(e) => {
-                self.touch_hit(e);
-                self.stats.hits += 1;
-                true
-            }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
-        }
-    }
-
-    fn contains(&self, sat: u32, content: ContentId) -> bool {
-        self.arena
-            .lookup(sat, content)
-            .is_some_and(|e| !self.lapsed(e))
-    }
-
-    fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool {
-        match self.arena.lookup(sat, content) {
-            Some(e) if self.lapsed(e) => {
-                self.release(e);
-                self.stats.expirations += 1;
-                false
-            }
-            Some(_) => true,
-            None => false,
-        }
-    }
-
-    fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool {
-        match self.arena.lookup(sat, content) {
-            Some(e) if self.lapsed(e) => {
-                self.release(e);
-                self.stats.expirations += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn insert_collect(
-        &mut self,
-        sat: u32,
-        content: ContentId,
-        size: u64,
-        evicted: &mut Vec<ContentId>,
-    ) -> bool {
-        self.sketch.increment(sketch_key(sat, content));
-        if let Some(e) = self.arena.lookup(sat, content) {
-            if self.lapsed(e) {
-                self.release(e);
-                self.stats.expirations += 1;
-            }
-        }
-        if size > self.sat_capacity {
-            return false;
-        }
-        if let Some(e) = self.arena.lookup(sat, content) {
-            // Refresh: same segment movement as a hit, expiry extended.
-            self.touch_hit(e);
-            self.arena.expiry[e as usize] = self.now + self.ttl;
-            return true;
-        }
-        let e = self.arena.alloc(sat, content, size, self.now + self.ttl);
-        meta_set(&mut self.seg, e, SEG_WINDOW);
-        let s = sat as usize;
-        let mut list = self.window[s];
-        self.arena.push_front(&mut list, e);
-        self.window[s] = list;
-        self.w_used[s] += size;
-        self.count[s] += 1;
-        self.stats.inserts += 1;
-        self.rebalance_window(sat, evicted);
-        true
-    }
-
-    fn remove(&mut self, sat: u32, content: ContentId) -> bool {
-        match self.arena.lookup(sat, content) {
-            Some(e) => {
-                self.release(e);
-                self.stats.invalidations += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn clear_sat(&mut self, sat: u32, dropped: &mut Vec<ContentId>) -> u64 {
-        let s = sat as usize;
-        let mut n = 0;
-        for seg in [SEG_WINDOW, SEG_PROBATION, SEG_PROTECTED] {
-            loop {
-                let head = match seg {
-                    SEG_WINDOW => self.window[s].head,
-                    SEG_PROBATION => self.probation[s].head,
-                    _ => self.protected[s].head,
-                };
-                if head == NIL {
-                    break;
-                }
-                dropped.push(self.arena.content[head as usize]);
-                self.release(head);
-                n += 1;
-            }
-        }
-        self.stats.invalidations += n;
-        n
-    }
-
-    fn occupied_into(&self, out: &mut Vec<(u32, u32, u64)>) {
-        for (s, &n) in self.count.iter().enumerate() {
-            if n > 0 {
-                out.push((s as u32, n, self.used_bytes_of(s as u32)));
-            }
-        }
+        self.lists
+            .iter()
+            .map(|l| l[s].head)
+            .find(|&h| h != NIL)
+            .unwrap_or(NIL)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{Order, PolicyFleet, PolicyKind};
+    use spacecdn_geo::SimDuration;
 
     fn id(n: u64) -> ContentId {
         ContentId(n)
     }
 
+    fn fleet(cap: u64, ttl_secs: u64) -> PolicyFleet {
+        PolicyFleet::new(
+            PolicyKind::TinyLfu,
+            1,
+            cap,
+            SimDuration::from_secs(ttl_secs),
+        )
+    }
+
+    fn tlfu(f: &PolicyFleet) -> &TinyLfu {
+        match f.order() {
+            Order::TinyLfu(o) => o,
+            _ => unreachable!("a TinyLFU fleet"),
+        }
+    }
+
+    fn seg_of(f: &PolicyFleet, content: ContentId) -> u8 {
+        let e = f.store().arena.lookup(0, content).expect("cached");
+        tlfu(f).seg[e as usize]
+    }
+
     #[test]
     fn segment_budgets_partition_capacity() {
-        let f = TinyLfuFleet::new(1, 10_000, SimDuration::from_secs(60));
+        let f = TinyLfu::new(1, 10_000);
         assert_eq!(f.window_cap, 100);
         assert_eq!(f.main_cap, 9_900);
         assert_eq!(f.protected_cap, 7_920);
-        let tiny = TinyLfuFleet::new(1, 1, SimDuration::from_secs(60));
+        let tiny = TinyLfu::new(1, 1);
         assert_eq!(tiny.window_cap, 1);
         assert_eq!(tiny.main_cap, 0);
     }
@@ -461,26 +234,23 @@ mod tests {
     #[test]
     fn new_objects_enter_the_window_and_graduate_to_probation() {
         let f_cap = 10_000u64; // window 100
-        let mut f = TinyLfuFleet::new(1, f_cap, SimDuration::from_secs(60));
+        let mut f = fleet(f_cap, 60);
         f.insert_collect(0, id(1), 100, &mut Vec::new());
-        let e = f.arena.lookup(0, id(1)).unwrap();
-        assert_eq!(f.seg[e as usize], SEG_WINDOW);
+        assert_eq!(seg_of(&f, id(1)), SEG_WINDOW);
         // Next insert overflows the window; 1 becomes the candidate and is
         // admitted to empty main (nothing to displace).
         f.insert_collect(0, id(2), 100, &mut Vec::new());
-        let e = f.arena.lookup(0, id(1)).unwrap();
-        assert_eq!(f.seg[e as usize], SEG_PROBATION);
+        assert_eq!(seg_of(&f, id(1)), SEG_PROBATION);
         assert_eq!(f.used_bytes_of(0), 200);
     }
 
     #[test]
     fn probation_hit_promotes_to_protected() {
-        let mut f = TinyLfuFleet::new(1, 10_000, SimDuration::from_secs(60));
+        let mut f = fleet(10_000, 60);
         f.insert_collect(0, id(1), 100, &mut Vec::new());
         f.insert_collect(0, id(2), 100, &mut Vec::new()); // 1 → probation
         assert!(f.get(0, id(1)));
-        let e = f.arena.lookup(0, id(1)).unwrap();
-        assert_eq!(f.seg[e as usize], SEG_PROTECTED);
+        assert_eq!(seg_of(&f, id(1)), SEG_PROTECTED);
     }
 
     #[test]
@@ -488,7 +258,7 @@ mod tests {
         // Fill main with objects that each got several hits (hot), then
         // push a never-requested candidate through: the sketch must reject
         // it rather than displace a hot incumbent.
-        let mut f = TinyLfuFleet::new(1, 1_000, SimDuration::from_secs(600));
+        let mut f = fleet(1_000, 600);
         // window 10, main 990 → 9 objects of 100 fill main + 1 in window.
         for n in 0..10u64 {
             f.insert_collect(0, id(n), 100, &mut Vec::new());
@@ -516,7 +286,7 @@ mod tests {
     fn candidate_self_eviction_is_reported() {
         // main_cap 0 (capacity 1): every graduation candidate self-evicts,
         // and the reported victim can be the object just inserted.
-        let mut f = TinyLfuFleet::new(1, 1, SimDuration::from_secs(60));
+        let mut f = fleet(1, 60);
         assert!(f.insert_collect(0, id(1), 1, &mut Vec::new()));
         let mut ev = Vec::new();
         assert!(f.insert_collect(0, id(2), 1, &mut ev));
@@ -527,7 +297,7 @@ mod tests {
 
     #[test]
     fn protected_overflow_demotes_not_drops() {
-        let mut f = TinyLfuFleet::new(1, 1_000, SimDuration::from_secs(600));
+        let mut f = fleet(1_000, 600);
         // protected_cap = 990*4/5 = 792 → 7 objects of 100 fit.
         for n in 0..9u64 {
             f.insert_collect(0, id(n), 100, &mut Vec::new());
@@ -543,14 +313,5 @@ mod tests {
         assert_eq!(f.len_of(0), before, "promotion churn never drops entries");
         let s = f.stats();
         assert_eq!(s.departures(), s.inserts - f.len() as u64);
-    }
-
-    #[test]
-    fn arena_recycles_under_churn() {
-        let mut f = TinyLfuFleet::new(1, 200, SimDuration::from_secs(600));
-        for round in 0..60u64 {
-            f.insert_collect(0, id(round % 7), 100, &mut Vec::new());
-        }
-        assert!(f.arena.slots() <= 8, "arena grew to {}", f.arena.slots());
     }
 }

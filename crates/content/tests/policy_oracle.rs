@@ -9,11 +9,15 @@
 //! `Vec`/`VecDeque`/linear scans, and asserts that every observable agrees
 //! at every step:
 //!
-//! - hit/miss verdicts from `get`, freshness verdicts from
-//!   `is_fresh`/`expire_if_due`, admission verdicts from `insert_collect`,
-//! - **victim identity and order** in the `evicted`/`dropped` vectors (the
-//!   traffic engine prunes holder lists eagerly, so a wrong or missing
-//!   victim is an engine-state corruption, not a cosmetic bug),
+//! - hit/miss verdicts from `get`, admission verdicts from
+//!   `insert_collect`,
+//! - **victim identity and order** in the `evicted`/`dropped` vectors and
+//!   in the TTL departures each `set_now` returns (the traffic engine
+//!   prunes holder lists eagerly, so a wrong or missing victim is an
+//!   engine-state corruption, not a cosmetic bug). The reference expires
+//!   eagerly by the same rule as the fleet, written naively: a plain
+//!   `Vec` of `(expiry, sat, content)` records, one per insert and
+//!   refresh, walked in push order on every `set_now`,
 //! - per-satellite `len_of`/`used_bytes_of`, `contains`, and the full
 //!   [`CacheStats`] under the unified evicted/expired/invalidated taxonomy.
 //!
@@ -159,6 +163,9 @@ struct RefFleet {
     q2: Vec<Vec<RefEntry>>,
     /// TinyLFU: protected.
     q3: Vec<Vec<RefEntry>>,
+    /// `(expiry, sat, content)` per successful insert or refresh, in push
+    /// order.
+    timers: Vec<(SimTime, u32, ContentId)>,
     /// SIEVE: per-sat hand (content id; None = restart from the tail).
     hand: Vec<Option<ContentId>>,
     /// S3-FIFO: per-sat ghost FIFO of `(content, size)`, front = oldest.
@@ -175,6 +182,7 @@ impl RefFleet {
             ttl,
             now: SimTime::EPOCH,
             stats: CacheStats::default(),
+            timers: Vec::new(),
             q1: vec![Vec::new(); sats],
             q2: vec![Vec::new(); sats],
             q3: vec![Vec::new(); sats],
@@ -250,10 +258,6 @@ impl RefFleet {
             .sum()
     }
 
-    fn lapsed(&self, e: &RefEntry) -> bool {
-        self.now >= e.expiry
-    }
-
     // -- departure plumbing -------------------------------------------------
 
     /// Detach `(qi, i)` from `sat` with SIEVE hand stepping (the hand moves
@@ -271,24 +275,8 @@ impl RefFleet {
         self.queue_mut(sat, qi).remove(i)
     }
 
-    /// Purge `(sat, content)` if it is present and its TTL has lapsed,
-    /// booking an expiration. Expired entries never enter the ghost.
-    fn purge_if_lapsed(&mut self, sat: u32, content: ContentId) -> bool {
-        if let Some((qi, i)) = self.locate(sat, content) {
-            let s = sat as usize;
-            let lapsed = match qi {
-                0 => self.now >= self.q1[s][i].expiry,
-                1 => self.now >= self.q2[s][i].expiry,
-                _ => self.now >= self.q3[s][i].expiry,
-            };
-            if lapsed {
-                self.detach(sat, qi, i);
-                self.stats.expirations += 1;
-                self.cov.expirations += 1;
-                return true;
-            }
-        }
-        false
+    fn entry(&self, sat: u32, qi: usize, i: usize) -> &RefEntry {
+        &self.queues(sat)[qi][i]
     }
 
     // -- SIEVE victim selection --------------------------------------------
@@ -444,8 +432,28 @@ impl RefFleet {
 
     // -- the mirrored operation set ----------------------------------------
 
-    fn set_now(&mut self, now: SimTime) {
+    /// Advance the clock and walk every timer record due by it, in push
+    /// order: a record expires its entry when the entry is still present
+    /// and itself due. Returns the expired `(sat, content)` in that order.
+    fn set_now(&mut self, now: SimTime) -> Vec<(u32, ContentId)> {
         self.now = self.now.max(now);
+        let records = std::mem::take(&mut self.timers);
+        let mut expired = Vec::new();
+        for (due, sat, content) in records {
+            if due > self.now {
+                self.timers.push((due, sat, content));
+                continue;
+            }
+            if let Some((qi, i)) = self.locate(sat, content) {
+                if self.entry(sat, qi, i).expiry <= self.now {
+                    self.detach(sat, qi, i);
+                    self.stats.expirations += 1;
+                    self.cov.expirations += 1;
+                    expired.push((sat, content));
+                }
+            }
+        }
+        expired
     }
 
     fn get(&mut self, sat: u32, content: ContentId) -> bool {
@@ -453,10 +461,6 @@ impl RefFleet {
             self.sketch.increment(sketch_key(sat, content));
         }
         self.stats.gets += 1;
-        if self.purge_if_lapsed(sat, content) {
-            self.stats.misses += 1;
-            return false;
-        }
         let Some((qi, i)) = self.locate(sat, content) else {
             self.stats.misses += 1;
             return false;
@@ -480,26 +484,7 @@ impl RefFleet {
     }
 
     fn contains(&self, sat: u32, content: ContentId) -> bool {
-        self.locate(sat, content).is_some_and(|(qi, i)| {
-            let s = sat as usize;
-            let e = match qi {
-                0 => &self.q1[s][i],
-                1 => &self.q2[s][i],
-                _ => &self.q3[s][i],
-            };
-            !self.lapsed(e)
-        })
-    }
-
-    fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool {
-        if self.purge_if_lapsed(sat, content) {
-            return false;
-        }
         self.locate(sat, content).is_some()
-    }
-
-    fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool {
-        self.purge_if_lapsed(sat, content)
     }
 
     fn insert_collect(
@@ -512,7 +497,6 @@ impl RefFleet {
         if self.kind == PolicyKind::TinyLfu {
             self.sketch.increment(sketch_key(sat, content));
         }
-        self.purge_if_lapsed(sat, content);
         if size > self.cap {
             self.cov.oversize_rejects += 1;
             return false;
@@ -520,6 +504,7 @@ impl RefFleet {
         if let Some((qi, i)) = self.locate(sat, content) {
             // Refresh: policy touch + expiry extension, original size kept.
             let expiry = self.now + self.ttl;
+            self.timers.push((expiry, sat, content));
             match self.kind {
                 PolicyKind::LruTtl => {
                     let q = self.queue_mut(sat, qi);
@@ -552,6 +537,7 @@ impl RefFleet {
             expiry: self.now + self.ttl,
             meta: 0,
         };
+        self.timers.push((entry.expiry, sat, content));
         match self.kind {
             PolicyKind::LruTtl => {
                 while self.used_bytes_of(sat) + size > self.cap {
@@ -657,13 +643,13 @@ fn run_trace(kind: PolicyKind, trace: u64, cov: &mut Coverage) {
         let content = ContentId(rng.index(universe as usize) as u64);
         let roll = rng.index(100);
         let at = format!("{ctx} step {step}");
-        if roll < 40 {
+        if roll < 45 {
             assert_eq!(
                 fleet.get(sat, content),
                 oracle.get(sat, content),
                 "{at}: get"
             );
-        } else if roll < 70 {
+        } else if roll < 78 {
             // Sizes reach past small capacities so oversize rejection and
             // single-entry caches both occur.
             let size = 1 + rng.index(9) as u64;
@@ -675,25 +661,13 @@ fn run_trace(kind: PolicyKind, trace: u64, cov: &mut Coverage) {
                 "{at}: insert verdict"
             );
             assert_eq!(ev_f, ev_o, "{at}: victim identity/order");
-        } else if roll < 78 {
-            assert_eq!(
-                fleet.is_fresh(sat, content),
-                oracle.is_fresh(sat, content),
-                "{at}: is_fresh"
-            );
-        } else if roll < 84 {
-            assert_eq!(
-                fleet.expire_if_due(sat, content),
-                oracle.expire_if_due(sat, content),
-                "{at}: expire_if_due"
-            );
-        } else if roll < 90 {
+        } else if roll < 85 {
             assert_eq!(
                 fleet.remove(sat, content),
                 oracle.remove(sat, content),
                 "{at}: remove"
             );
-        } else if roll < 93 {
+        } else if roll < 88 {
             let mut d_f = Vec::new();
             let mut d_o = Vec::new();
             assert_eq!(
@@ -705,8 +679,9 @@ fn run_trace(kind: PolicyKind, trace: u64, cov: &mut Coverage) {
         } else {
             now_s += 1 + rng.index(10) as u64;
             let t = SimTime::from_secs(now_s);
-            fleet.set_now(t);
-            oracle.set_now(t);
+            let expired = oracle.set_now(t);
+            assert_eq!(fleet.set_now(t), expired, "{at}: TTL departures/order");
+            assert_eq!(fleet.now(), t, "{at}: clock");
         }
 
         // Full-state agreement after every operation.

@@ -6,11 +6,12 @@
 //! This module implements that policy — per-satellite LRU caches refreshed
 //! with the destination region's hot set as satellites cross region
 //! boundaries — and a static-placement baseline for comparison. Both run
-//! on one [`FleetCache`] slot per satellite with
-//! [`FleetCache::NO_EXPIRY`].
+//! on one LRU [`PolicyFleet`] slot per satellite with
+//! [`PolicyFleet::NO_EXPIRY`], so no timer records are kept and nothing
+//! expires.
 
 use spacecdn_content::catalog::{Catalog, ContentId, RegionTag};
-use spacecdn_content::fleet::FleetCache;
+use spacecdn_content::policy::{PolicyFleet, PolicyKind};
 use spacecdn_content::popularity::RegionalPopularity;
 use spacecdn_geo::{Geodetic, Km, SimTime};
 use spacecdn_orbit::{Constellation, SatIndex};
@@ -29,7 +30,7 @@ pub struct BubbleRegion {
 /// Per-satellite caches managed by the bubble policy.
 pub struct BubbleWorld {
     regions: Vec<BubbleRegion>,
-    caches: FleetCache,
+    caches: PolicyFleet,
 }
 
 impl BubbleWorld {
@@ -37,7 +38,12 @@ impl BubbleWorld {
     pub fn new(sat_count: usize, capacity_bytes: u64, regions: Vec<BubbleRegion>) -> Self {
         BubbleWorld {
             regions,
-            caches: FleetCache::new(sat_count, capacity_bytes, FleetCache::NO_EXPIRY),
+            caches: PolicyFleet::new(
+                PolicyKind::LruTtl,
+                sat_count,
+                capacity_bytes,
+                PolicyFleet::NO_EXPIRY,
+            ),
         }
     }
 
@@ -128,7 +134,12 @@ pub fn static_placement_hit_ratio(
     global_hot: &[ContentId],
     requests: &[(SatIndex, ContentId)],
 ) -> f64 {
-    let mut caches = FleetCache::new(sat_count, capacity_bytes, FleetCache::NO_EXPIRY);
+    let mut caches = PolicyFleet::new(
+        PolicyKind::LruTtl,
+        sat_count,
+        capacity_bytes,
+        PolicyFleet::NO_EXPIRY,
+    );
     for sat in 0..sat_count as u32 {
         for &id in global_hot {
             let Some(obj) = catalog.get(id) else { continue };

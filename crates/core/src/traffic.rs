@@ -20,9 +20,9 @@
 //!   satellite slot with intrusive policy links (each policy proven
 //!   decision-identical to a naive reference by the differential oracle
 //!   in `spacecdn-content`). Holder lists — which satellites cache each
-//!   object — are maintained *eagerly*: LRU evictions report their
-//!   victims, TTL lapses are applied by a timer queue with lazy
-//!   deletion, and epoch invalidations drain the wiped slots. The
+//!   object — are maintained *eagerly*: evictions report their victims,
+//!   the fleet's clock advance reports every TTL lapse it applied, and
+//!   epoch invalidations drain the wiped slots. The
 //!   per-request candidate scan is therefore pure arithmetic over live
 //!   holders, with no per-candidate freshness probing.
 //! - **Batched retrieval per (source, epoch).** All requests a source
@@ -67,7 +67,7 @@ use spacecdn_geo::{DetRng, Geodetic, Latency, SimDuration, SimTime};
 use spacecdn_lsn::{AccessModel, IslGraph, SourceTables};
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, LocalHistogram, Unit};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Traffic counters (stable: per-stream work is deterministic and the
@@ -591,10 +591,6 @@ struct ShardWorld<'a> {
     /// instead, so scan memos survive them (see [`RankMemo`]).
     holder_removals: Vec<u32>,
     rank_of: HashMap<ContentId, u32>,
-    /// TTL timer queue with lazy deletion: every insert pushes
-    /// `(expiry, slot, content)`; records whose entry was refreshed,
-    /// evicted, or invalidated in the meantime are skipped on pop.
-    expiries: VecDeque<(SimTime, u32, ContentId)>,
     ctxs: Vec<Option<BatchCtx>>,
     /// Scan memos, flat-indexed `source × ranks + rank` (see [`RankMemo`]).
     /// The scheduling jitter is a common additive term on every
@@ -662,22 +658,6 @@ impl ShardWorld<'_> {
         if let Some(p) = hs.iter().position(|&g| g == slot) {
             hs.swap_remove(p);
             removals[rank] = removals[rank].wrapping_add(1);
-        }
-    }
-
-    /// Apply every TTL lapse due by `t`, keeping holder lists exact.
-    fn drain_expiries(&mut self, t: SimTime) {
-        while self.expiries.front().is_some_and(|&(e, _, _)| e <= t) {
-            let (_, slot, content) = self.expiries.pop_front().expect("checked front");
-            if self.fleet.expire_if_due(slot, content) {
-                Self::prune_holder(
-                    &mut self.holders,
-                    &mut self.holder_removals,
-                    &self.rank_of,
-                    content,
-                    slot,
-                );
-            }
         }
     }
 
@@ -759,8 +739,16 @@ impl ShardWorld<'_> {
     /// Resolve one request at simulated time `t`.
     fn arrival(&mut self, t: SimTime, a: Arrival) {
         self.report.requests += 1;
-        self.fleet.set_now(t);
-        self.drain_expiries(t);
+        // The fleet expires every entry due by `t`; prune their holders.
+        for &(slot, content) in self.fleet.set_now(t) {
+            Self::prune_holder(
+                &mut self.holders,
+                &mut self.holder_removals,
+                &self.rank_of,
+                content,
+                slot,
+            );
+        }
 
         let si = a.source as usize;
         if self.ctxs[si].is_none() {
@@ -969,7 +957,6 @@ impl ShardWorld<'_> {
                         if !hs.contains(&fill) {
                             hs.push(fill);
                         }
-                        self.expiries.push_back((t + self.cfg.ttl, fill, content));
                     }
                     while let Some(victim) = self.dropped.pop() {
                         Self::prune_holder(
@@ -1268,7 +1255,6 @@ pub fn run_traffic_multishell(
             tier_surcharge,
             holder_removals: vec![1; shard_ids.len()],
             rank_of,
-            expiries: VecDeque::new(),
             ctxs: (0..sources.len()).map(|_| None).collect(),
             memo: scratch.memo,
             next_gen: scratch.next_gen,
@@ -1336,7 +1322,7 @@ pub fn run_traffic_multishell(
             CACHE_OCCUPANCY.record(bytes);
         }
         world.report.evictions = world.fleet.stats().evictions;
-        world.report.ttl_expiries = world.fleet.expired_purges();
+        world.report.ttl_expiries = world.fleet.stats().expirations;
 
         // Telemetry flush: the hot loop only touches plain shard-local
         // tallies; the shared registry sees one bulk add per metric per
@@ -1514,6 +1500,54 @@ mod tests {
             long_report.hit_ratio(),
             report.hit_ratio()
         );
+    }
+
+    /// Pins the TTL expiry path for every policy: short TTL, tight caches
+    /// and an epoch that kills a third of the fleet, so expirations,
+    /// evictions and invalidations all interleave. The constants were
+    /// computed with the engine's own timer queue, before expiry moved
+    /// into the fleet, and must not move.
+    #[test]
+    fn short_ttl_churn_is_pinned_for_every_policy() {
+        let pins: [(PolicyKind, u64, u64, u64, u64); 4] = [
+            (PolicyKind::LruTtl, 0x346f_d129_c972_ed55, 981, 302, 48),
+            (PolicyKind::Sieve, 0x1264_e469_d809_a0ef, 986, 298, 49),
+            (PolicyKind::S3Fifo, 0x50ce_faa4_d29c_899a, 999, 284, 49),
+            (PolicyKind::TinyLfu, 0x4069_e63c_7454_3ec7, 1137, 145, 47),
+        ];
+        for (policy, digest, expiries, evictions, invalidations) in pins {
+            let cfg = TrafficConfig {
+                ttl: SimDuration::from_secs(20),
+                cache_bytes_per_sat: 4 << 20,
+                policy,
+                ..quick_cfg()
+            };
+            let mut rng = DetRng::new(5, "traffic/faults");
+            let mut schedule = FaultSchedule::none();
+            schedule.random_sat_outages(
+                1584,
+                0.33,
+                SimDuration::from_secs(60),
+                SimDuration::from_mins(30),
+                &mut rng,
+            );
+            let mut sc = small_scenario(schedule);
+            let r = run_traffic(&mut sc, &test_sources(cfg.epochs), &cfg);
+            let name = policy.name();
+            assert!(r.ttl_expiries > 0, "{name}: no TTL expiries");
+            assert!(r.evictions > 0, "{name}: no evictions");
+            assert!(r.invalidations > 0, "{name}: no invalidations");
+            assert_eq!(
+                (
+                    r.decision_digest,
+                    r.ttl_expiries,
+                    r.evictions,
+                    r.invalidations
+                ),
+                (digest, expiries, evictions, invalidations),
+                "{name}: expiry path moved"
+            );
+        }
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub use spacecdn_terra as terra;
 /// the units, RNG and network types they take.
 pub mod prelude {
     pub use spacecdn_content::catalog::{Catalog, ContentId};
-    pub use spacecdn_content::fleet::FleetCache;
-    pub use spacecdn_content::policy::{CachePolicy, CacheStats, PolicyFleet, PolicyKind};
+    pub use spacecdn_content::policy::{CacheStats, PolicyFleet, PolicyKind};
     pub use spacecdn_content::popularity::ZipfSampler;
     pub use spacecdn_core::duty_cycle::DutyCycler;
     pub use spacecdn_core::network::{LsnNetwork, LsnSnapshot, PathBreakdown};

@@ -2,7 +2,7 @@
 //! through routing, caching, and measurement.
 
 use spacecdn_suite::content::catalog::{Catalog, RegionTag};
-use spacecdn_suite::content::fleet::FleetCache;
+use spacecdn_suite::content::policy::{PolicyFleet, PolicyKind};
 use spacecdn_suite::content::popularity::RegionalPopularity;
 use spacecdn_suite::core::network::LsnNetwork;
 use spacecdn_suite::core::placement::{PlacementPlan, PlacementStrategy};
@@ -111,7 +111,7 @@ fn regional_popularity_feeds_caches() {
     let tags = [RegionTag(0), RegionTag(1)];
     let catalog = Catalog::generate(1000, &tags, 0.5, &mut rng);
     let pop = RegionalPopularity::build(&catalog, 2, 1.0, 6.0, &mut rng);
-    let mut cache = FleetCache::new(1, 200_000_000, FleetCache::NO_EXPIRY);
+    let mut cache = PolicyFleet::new(PolicyKind::LruTtl, 1, 200_000_000, PolicyFleet::NO_EXPIRY);
     for &id in pop.hot_set(RegionTag(0), 300) {
         let obj = catalog.get(id).unwrap();
         if cache.used_bytes_of(0) + obj.size_bytes > cache.capacity_bytes_per_sat() {
