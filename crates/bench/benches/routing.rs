@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the ISL routing substrate: snapshot construction,
-//! Dijkstra, hop-bounded BFS — the inner loops of every experiment — and
-//! freezing a faulted epoch timeline cold vs from a session's kept one.
+//! Dijkstra, hop-bounded BFS — the inner loops of every experiment —
+//! nearest-satellite search on a churned snapshot, and freezing a faulted
+//! epoch timeline cold vs from a session's kept one.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spacecdn_core::network::LsnNetwork;
@@ -162,6 +163,55 @@ fn bench_routing(c: &mut Criterion) {
     });
 }
 
+/// Nearest-satellite queries on a Shell 1 snapshot carried through four
+/// 5 s delta steps under 5 % satellite outages (mean 10 s): its spatial
+/// index holds drift-inflated cell bounds and a singleton cell per
+/// returning satellite, as the graphs of a dense churning timeline do.
+fn bench_faulted_nearest(c: &mut Criterion) {
+    let constellation = Constellation::new(shells::starlink_shell1());
+    let mut rng = DetRng::new(42, "bench/routing/nearest-churn");
+    let mut schedule = FaultSchedule::none();
+    schedule.random_sat_outages(
+        constellation.len(),
+        0.05,
+        SimDuration::from_secs(20),
+        SimDuration::from_secs(10),
+        &mut rng,
+    );
+    let mut graph = IslGraph::build(
+        &constellation,
+        SimTime::EPOCH,
+        &schedule.plan_at(SimTime::EPOCH),
+    );
+    let fresh_cells = graph.spatial_index().cell_count();
+    for k in 1..=4 {
+        let t = SimTime::from_secs(5 * k);
+        graph = graph.apply_delta(&constellation, t, &schedule.plan_at(t)).0;
+    }
+    assert!(
+        graph.spatial_index().cell_count() > fresh_cells,
+        "no satellite returned through the delta path"
+    );
+    let queries: Vec<_> = (-60..=60)
+        .step_by(30)
+        .flat_map(|lat| {
+            (-180..180)
+                .step_by(45)
+                .map(move |lon| Geodetic::ground(lat as f64, lon as f64))
+        })
+        .collect();
+    set_routing_cache_override(Some(true));
+    c.bench_function("nearest_alive_spatial_index_churned", |b| {
+        b.iter(|| {
+            queries
+                .iter()
+                .filter_map(|&g| graph.nearest_alive(black_box(g)))
+                .count()
+        })
+    });
+    set_routing_cache_override(None);
+}
+
 /// A Shell 1 session under a churning fault timeline: 5 % of satellites
 /// get one outage (mean 60 s) and 2 % of ISLs flap 40 s up / 15 s down.
 fn churning_shell1(horizon: SimDuration) -> Scenario {
@@ -216,5 +266,10 @@ fn bench_timeline_freeze(c: &mut Criterion) {
     clear_graph_pool();
 }
 
-criterion_group!(benches, bench_routing, bench_timeline_freeze);
+criterion_group!(
+    benches,
+    bench_routing,
+    bench_faulted_nearest,
+    bench_timeline_freeze
+);
 criterion_main!(benches);

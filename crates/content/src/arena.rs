@@ -141,8 +141,7 @@ impl EntryArena {
         self.free.push(e);
     }
 
-    /// Arena slots ever allocated (capacity watermark, for growth tests).
-    #[cfg(test)]
+    /// Arena slots ever allocated (the capacity watermark).
     pub fn slots(&self) -> usize {
         self.sat.len()
     }

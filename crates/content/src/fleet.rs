@@ -24,6 +24,21 @@
 //! digest, depend on. A fleet built with [`PolicyFleet::NO_EXPIRY`] keeps
 //! no timer records.
 //!
+//! **The queue is bounded.** A record whose entry was evicted,
+//! invalidated or refreshed stays queued until its due time, which in a
+//! run shorter than the TTL is the fleet's lifetime. So once the queue
+//! holds more than twice the live entries plus a floor, it keeps (in
+//! order) only the first record of each entry still present with
+//! `expiry == due`, which is at most one per live entry: amortized O(1)
+//! per push, O(live) memory. A refresh that leaves the expiry unchanged
+//! (same clock) arms nothing, since the record it would add is a no-op
+//! behind an identical earlier one. A dropped stale record still differs
+//! from no record in one case: when a single clock step passes both it
+//! and its entry's later expiry, the unbounded queue expires the entry at
+//! the stale record's place, the bounded one at the live record's. Runs
+//! whose clock steps are shorter than the gap between an entry's records,
+//! and fleets that never outgrow the floor, see identical departures.
+//!
 //! Behaviour is pinned decision-for-decision to naive references by
 //! `tests/policy_oracle.rs`. Besides the traffic engine's satellite
 //! fleets, an LRU fleet with [`PolicyFleet::NO_EXPIRY`] is the
@@ -37,6 +52,10 @@ use crate::policy::{CacheStats, Order, PolicyKind};
 use spacecdn_geo::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
+/// Timer records a fleet may hold beyond twice its live entries before
+/// it compacts the queue.
+const TIMER_FLOOR: usize = 1024;
+
 /// The part of a fleet every policy shares.
 pub(crate) struct Store {
     pub arena: EntryArena,
@@ -48,7 +67,10 @@ pub(crate) struct Store {
     ttl: SimDuration,
     now: SimTime,
     stats: CacheStats,
-    /// `(expiry, sat, content)` per insert and refresh, oldest first.
+    /// Entries cached fleet-wide.
+    live: usize,
+    /// `(expiry, sat, content)` per insert and refresh, oldest first,
+    /// compacted past `2 × live + TIMER_FLOOR` records.
     timers: VecDeque<(SimTime, u32, ContentId)>,
     /// What the last `set_now` expired, in timer-record order.
     expired: Vec<(u32, ContentId)>,
@@ -69,6 +91,25 @@ impl Store {
         }
     }
 
+    /// Once the queue outgrows the live entries, keep, in order, only the
+    /// first record of each present entry whose expiry is the record's
+    /// due time (see the module doc).
+    #[inline]
+    fn bound_timers(&mut self) {
+        if self.timers.len() <= 2 * self.live + TIMER_FLOOR {
+            return;
+        }
+        let arena = &self.arena;
+        let mut armed = vec![false; arena.slots()];
+        self.timers
+            .retain(|&(due, sat, content)| match arena.lookup(sat, content) {
+                Some(e) if arena.expiry[e as usize] == due => {
+                    !std::mem::replace(&mut armed[e as usize], true)
+                }
+                _ => false,
+            });
+    }
+
     /// Admit a new entry: allocate it, book its bytes and an insert, and
     /// arm its timer. The order links it.
     pub fn alloc(&mut self, sat: u32, content: ContentId, size: u64) -> u32 {
@@ -76,6 +117,7 @@ impl Store {
         let e = self.arena.alloc(sat, content, size, expiry);
         self.used[sat as usize] += size;
         self.count[sat as usize] += 1;
+        self.live += 1;
         self.stats.inserts += 1;
         self.arm(expiry, sat, content);
         e
@@ -88,6 +130,7 @@ impl Store {
         let sat = self.arena.sat[i] as usize;
         self.used[sat] -= self.arena.size[i];
         self.count[sat] -= 1;
+        self.live -= 1;
         self.arena.release(e);
         self.arena.content[i]
     }
@@ -140,6 +183,7 @@ impl PolicyFleet {
                 ttl,
                 now: SimTime::EPOCH,
                 stats: CacheStats::default(),
+                live: 0,
                 timers: VecDeque::new(),
                 expired: Vec::new(),
             },
@@ -212,7 +256,7 @@ impl PolicyFleet {
 
     /// Objects cached fleet-wide.
     pub fn len(&self) -> usize {
-        self.store.count.iter().map(|&n| n as usize).sum()
+        self.store.live
     }
 
     /// True when no satellite caches anything.
@@ -277,11 +321,15 @@ impl PolicyFleet {
         if let Some(e) = s.arena.lookup(sat, content) {
             self.order.touch(&mut s.arena, sat, e);
             let expiry = s.now + s.ttl;
-            s.arena.expiry[e as usize] = expiry;
-            s.arm(expiry, sat, content);
+            if s.arena.expiry[e as usize] != expiry {
+                s.arena.expiry[e as usize] = expiry;
+                s.arm(expiry, sat, content);
+                s.bound_timers();
+            }
             return true;
         }
         self.order.insert(s, sat, content, size, evicted);
+        s.bound_timers();
         true
     }
 
@@ -434,6 +482,44 @@ mod tests {
         }
         assert!(f.stats().evictions > 0 && !f.is_empty());
         assert_eq!(f.timer_records(), 0);
+    }
+
+    #[test]
+    fn timer_queue_stays_bounded_under_eviction_churn() {
+        for kind in PolicyKind::ALL {
+            // Ten objects fit; a 300-object universe churns through them.
+            // The TTL outlives the run, so without compaction every insert
+            // would leave its record queued.
+            let mut f = PolicyFleet::new(kind, 2, 1_000, SimDuration::from_secs(3_600));
+            let mut rng = spacecdn_geo::DetRng::new(5, "timer-bound");
+            let mut evicted = Vec::new();
+            for n in 0..100_000u64 {
+                if n % 7 == 0 {
+                    f.set_now(SimTime::from_millis(n));
+                }
+                f.insert_collect(
+                    rng.index(2) as u32,
+                    id(rng.index(300) as u64),
+                    100,
+                    &mut evicted,
+                );
+                assert!(
+                    f.timer_records() <= 2 * f.len() + TIMER_FLOOR,
+                    "{}: {} records for {} entries after {n} inserts",
+                    kind.name(),
+                    f.timer_records(),
+                    f.len()
+                );
+            }
+            assert!(f.stats().evictions > 90_000, "{}", kind.name());
+            // The kept records still expire every live entry.
+            let live = f.len();
+            assert!(live > 0);
+            let expired = f.set_now(SimTime::from_secs(10_000)).len();
+            assert_eq!(expired, live, "{}", kind.name());
+            assert!(f.is_empty());
+            assert_eq!(f.timer_records(), 0);
+        }
     }
 
     #[test]

@@ -27,9 +27,15 @@
 //!   holders, with no per-candidate freshness probing.
 //! - **Batched retrieval per (source, epoch).** All requests a source
 //!   issues within one topology epoch share the same overhead satellite,
-//!   user-link geometry and routing tables per shell, so a `BatchCtx`
-//!   resolves them once and thousands of requests reuse it
-//!   (`core.traffic.batch.*` telemetry tracks the amortization).
+//!   user-link geometry and routing tables per shell. One engine call
+//!   keeps a read-only `GeomTable` with a cell per (source, epoch): the
+//!   first stream to serve a pair builds its geometry there, and every
+//!   other stream reads it. The table is lazy (only pairs some request
+//!   touches are built) and lives for the call. A stream's own `BatchCtx`
+//!   holds just a reference to the shared geometry plus the generation
+//!   stamp of its scan memos, so thousands of requests reuse one
+//!   resolution (`core.traffic.batch.*` telemetry tracks the
+//!   amortization).
 //!
 //! # Determinism contract
 //!
@@ -41,9 +47,12 @@
 //! `traffic/service/{s}` for the one scheduling-jitter draw each
 //! non-dead-zone request makes — its own event stream, and its own cache
 //! fleet; shards only share the **read-only** per-epoch topology
-//! snapshots. Shard samplers are built with [`ZipfSampler::over_ranks`],
-//! so the union of all shards reproduces the global Zipf demand exactly
-//! while no mutable state crosses a thread boundary. (A shard may
+//! snapshots and the call's geometry table, whose cells are each written
+//! once, by whichever shard needs them first, with a value that does not
+//! depend on which shard that is. Shard samplers are built with
+//! [`ZipfSampler::over_ranks`], so the union of all shards reproduces the
+//! global Zipf demand exactly while no mutable state crosses a thread
+//! boundary. (A shard may
 //! inherit the scan-memo arrays of a finished one, but stamped with
 //! generations no new batch context can carry, so nothing in them is
 //! ever read.) Reports merge in shard order. The result: byte-identical
@@ -68,7 +77,7 @@ use spacecdn_lsn::{AccessModel, IslGraph, SourceTables};
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, LocalHistogram, Unit};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Traffic counters (stable: per-stream work is deterministic and the
 /// tallies are sums over streams, so they are identical at any thread
@@ -95,6 +104,11 @@ static LATENCY_US: LazyHistogram = LazyHistogram::stable("core.traffic.latency_u
 /// `table_reuses` counts requests that reused an existing context's
 /// routing tables instead of re-resolving them.
 static BATCHES_FORMED: LazyCounter = LazyCounter::stable("core.traffic.batch.formed");
+/// (Source, epoch) geometries built into an engine call's shared table
+/// (stable: each cell is built exactly once, on first use by any stream,
+/// and the set of pairs the streams touch is fixed by their deterministic
+/// event sequences, so the count is the same at any thread count).
+static GEOMETRY_BUILDS: LazyCounter = LazyCounter::stable("core.traffic.batch.geometry_builds");
 static BATCH_TABLE_REUSES: LazyCounter = LazyCounter::stable("core.traffic.batch.table_reuses");
 /// Requests amortized over each batch context, recorded at context
 /// retirement (stable, same argument as the batch counters).
@@ -451,18 +465,149 @@ fn fold_decision(digest: &mut u64, source: u32, slot: u32, hops: u32, rtt: Laten
 /// FNV-1a offset basis: each shard's digest starts here.
 const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Per-shell retrieval geometry of one (source, epoch) batch: the
-/// overhead satellite (as a global slot), its user-link propagation
-/// round trip, and the routing tables rooted at it.
+/// +Grid degree: a satellite has at most four ISLs.
+const GRID_DEGREE: usize = 4;
+
+/// Per-shell retrieval geometry of one (source, epoch): the overhead
+/// satellite (as a global slot), its user-link propagation round trip,
+/// and the routing tables rooted at it.
 struct ShellCtx {
     overhead_slot: u32,
     user_prop: Latency,
     tables: Arc<SourceTables>,
     /// Cooperative-lookup targets: the overhead satellite's live +Grid
-    /// neighbors as (global slot, full probe RTT = user link + two-way
-    /// edge propagation, no switching charge). Empty unless the placement
-    /// spec enables `coop`. At most four entries, scanned linearly.
-    neighbors: Vec<(u32, Latency)>,
+    /// neighbors (global slots) and their full probe RTTs (user link +
+    /// two-way edge propagation, no switching charge), the first
+    /// `neighbor_count` entries valid. None unless the placement spec
+    /// enables `coop`.
+    neighbor_slots: [u32; GRID_DEGREE],
+    neighbor_probes: [Latency; GRID_DEGREE],
+    neighbor_count: u8,
+}
+
+impl ShellCtx {
+    /// The probe RTT of global slot `g` when it is a cooperative target.
+    fn neighbor_probe(&self, g: u32) -> Option<Latency> {
+        self.neighbor_slots[..self.neighbor_count as usize]
+            .iter()
+            .position(|&n| n == g)
+            .map(|i| self.neighbor_probes[i])
+    }
+}
+
+/// The retrieval geometry of one (source, epoch), as read from a
+/// [`GeomTable`]: the pull-through target and one cell per shell.
+#[derive(Clone, Copy)]
+struct Geom<'t> {
+    /// Pull-through target: the overhead slot with the smallest slant
+    /// range across shells (`None` in a total dead zone).
+    fill: Option<u32>,
+    shells: &'t [OnceLock<ShellCtx>],
+}
+
+impl<'t> Geom<'t> {
+    /// Shell `k`'s geometry, `None` when no satellite of that shell can
+    /// serve the source.
+    fn shell(&self, k: usize) -> Option<&'t ShellCtx> {
+        self.shells[k].get()
+    }
+}
+
+/// One engine call's retrieval geometry per (source, epoch), shared
+/// read-only by every stream. Each pair's geometry is a pure function of
+/// the epoch's graphs and the source position, so it is built once, by
+/// whichever stream first serves the pair, and never changed. Cells are
+/// filled lazily: a short burst touches a few pairs of a large table,
+/// and building the rest would run Dijkstra for nothing.
+struct GeomTable<'a> {
+    /// `[epoch × sources + source]`: the pair's fill target, set once its
+    /// shell cells are written.
+    fills: Vec<OnceLock<Option<u32>>>,
+    /// `[(epoch × sources + source) × shells + shell]`: written only
+    /// while the pair's `fills` cell is being set, so once that cell is
+    /// set an empty shell cell means the shell has no servable satellite.
+    shells: Vec<OnceLock<ShellCtx>>,
+    graphs: &'a [Vec<Arc<IslGraph>>],
+    shell_offsets: &'a [u32],
+    sources: &'a [TrafficSource],
+    coop: bool,
+}
+
+impl<'a> GeomTable<'a> {
+    fn new(
+        graphs: &'a [Vec<Arc<IslGraph>>],
+        shell_offsets: &'a [u32],
+        sources: &'a [TrafficSource],
+        coop: bool,
+    ) -> Self {
+        let pairs = graphs.len() * sources.len();
+        GeomTable {
+            fills: (0..pairs).map(|_| OnceLock::new()).collect(),
+            shells: (0..pairs * shell_offsets.len())
+                .map(|_| OnceLock::new())
+                .collect(),
+            graphs,
+            shell_offsets,
+            sources,
+            coop,
+        }
+    }
+
+    /// The geometry of source `si` at epoch `e`, built on first use.
+    fn get(&self, e: usize, si: usize) -> Geom<'_> {
+        let pair = e * self.sources.len() + si;
+        let k = self.shell_offsets.len();
+        let shells = &self.shells[pair * k..(pair + 1) * k];
+        let fill = *self.fills[pair].get_or_init(|| self.build(e, si, shells));
+        Geom { fill, shells }
+    }
+
+    /// Resolve the overhead satellite, user link, routing tables and
+    /// (with `coop`) +Grid neighbors of source `si` in every shell at
+    /// epoch `e` into `cells`, returning the pair's fill target.
+    fn build(&self, e: usize, si: usize, cells: &[OnceLock<ShellCtx>]) -> Option<u32> {
+        GEOMETRY_BUILDS.incr();
+        let pos = self.sources[si].position;
+        let mut fill: Option<(u32, f64)> = None;
+        for (k, graph) in self.graphs[e].iter().enumerate() {
+            let Some((sat, slant)) = graph.nearest_alive(pos) else {
+                continue;
+            };
+            let slot = self.shell_offsets[k] + sat.0;
+            if fill.is_none_or(|(_, s)| slant.0 < s) {
+                fill = Some((slot, slant.0));
+            }
+            let user_prop = propagation_delay(slant, Medium::Vacuum).round_trip();
+            // Cooperative probe targets: the CSR row already excludes
+            // dead neighbors and failed links, so every entry is a live
+            // one-hop fetch.
+            let mut neighbor_slots = [0; GRID_DEGREE];
+            let mut neighbor_probes = [Latency::ZERO; GRID_DEGREE];
+            let mut neighbor_count = 0;
+            if self.coop {
+                let (row, kms) = graph.neighbor_row(sat.0);
+                assert!(
+                    row.len() <= GRID_DEGREE,
+                    "+Grid rows hold at most four links"
+                );
+                for (i, (&nb, &km)) in row.iter().zip(kms).enumerate() {
+                    neighbor_slots[i] = self.shell_offsets[k] + nb;
+                    neighbor_probes[i] = user_prop + neighbor_probe_cost(km);
+                }
+                neighbor_count = row.len() as u8;
+            }
+            let built = cells[k].set(ShellCtx {
+                overhead_slot: slot,
+                user_prop,
+                tables: graph.routing_tables(sat),
+                neighbor_slots,
+                neighbor_probes,
+                neighbor_count,
+            });
+            debug_assert!(built.is_ok(), "a pair's shell cells are written once");
+        }
+        fill.map(|(slot, _)| slot)
+    }
 }
 
 /// Memoized candidate scan for one (source, rank): the best base RTT
@@ -547,14 +692,11 @@ impl ScanScratch {
     }
 }
 
-/// Everything a source's requests share within one topology epoch.
-/// Building one costs a nearest-satellite search plus a routing-table
-/// resolution per shell; every further request in the batch reuses it.
-struct BatchCtx {
-    shells: Vec<Option<ShellCtx>>,
-    /// Pull-through target: the overhead slot with the smallest slant
-    /// range across shells (`None` in a total dead zone).
-    fill: Option<u32>,
+/// One stream's view of a (source, epoch) batch: the shared geometry
+/// and what is the stream's own. Forming one is a table lookup; the
+/// geometry is built at most once per engine call (see [`GeomTable`]).
+struct BatchCtx<'t> {
+    geom: Geom<'t>,
     /// Build generation, starting at 1: stamped into every memo entry
     /// this context's scans produce, so retiring the context (new epoch,
     /// new geometry) implicitly invalidates them all.
@@ -591,7 +733,7 @@ struct ShardWorld<'a> {
     /// instead, so scan memos survive them (see [`RankMemo`]).
     holder_removals: Vec<u32>,
     rank_of: HashMap<ContentId, u32>,
-    ctxs: Vec<Option<BatchCtx>>,
+    ctxs: Vec<Option<BatchCtx<'a>>>,
     /// Scan memos, flat-indexed `source × ranks + rank` (see [`RankMemo`]).
     /// The scheduling jitter is a common additive term on every
     /// candidate's RTT, so a memo is recomputed only when the rank's
@@ -634,6 +776,7 @@ struct ShardWorld<'a> {
     sizes: &'a [u64],
     catalog: &'a Catalog,
     // Shared read-only context.
+    geoms: &'a GeomTable<'a>,
     graphs: &'a [Vec<Arc<IslGraph>>],
     shell_offsets: &'a [u32],
     shell_of: &'a [u8],
@@ -687,55 +830,6 @@ impl ShardWorld<'_> {
         fallback + self.tier_surcharge[tier]
     }
 
-    /// Resolve the retrieval geometry of `source` at the current epoch.
-    fn build_ctx(&self, si: usize, gen: u32) -> BatchCtx {
-        let pos = self.sources[si].position;
-        let epoch_graphs = &self.graphs[self.epoch];
-        let mut shells = Vec::with_capacity(epoch_graphs.len());
-        let mut fill: Option<(u32, f64)> = None;
-        for (k, graph) in epoch_graphs.iter().enumerate() {
-            match graph.nearest_alive(pos) {
-                Some((sat, slant)) => {
-                    let slot = self.shell_offsets[k] + sat.0;
-                    if fill.is_none_or(|(_, s)| slant.0 < s) {
-                        fill = Some((slot, slant.0));
-                    }
-                    let user_prop = propagation_delay(slant, Medium::Vacuum).round_trip();
-                    // Cooperative probe targets: the CSR row already
-                    // excludes dead neighbors and failed links, so every
-                    // entry is a live one-hop fetch.
-                    let neighbors = if self.coop {
-                        let (row, kms) = graph.neighbor_row(sat.0);
-                        row.iter()
-                            .zip(kms)
-                            .map(|(&nb, &km)| {
-                                (
-                                    self.shell_offsets[k] + nb,
-                                    user_prop + neighbor_probe_cost(km),
-                                )
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    shells.push(Some(ShellCtx {
-                        overhead_slot: slot,
-                        user_prop,
-                        tables: graph.routing_tables(sat),
-                        neighbors,
-                    }));
-                }
-                None => shells.push(None),
-            }
-        }
-        BatchCtx {
-            shells,
-            fill: fill.map(|(slot, _)| slot),
-            gen,
-            requests: 0,
-        }
-    }
-
     /// Resolve one request at simulated time `t`.
     fn arrival(&mut self, t: SimTime, a: Arrival) {
         self.report.requests += 1;
@@ -754,8 +848,11 @@ impl ShardWorld<'_> {
         if self.ctxs[si].is_none() {
             let gen = self.next_gen;
             self.next_gen = self.next_gen.wrapping_add(1);
-            let built = self.build_ctx(si, gen);
-            self.ctxs[si] = Some(built);
+            self.ctxs[si] = Some(BatchCtx {
+                geom: self.geoms.get(self.epoch, si),
+                gen,
+                requests: 0,
+            });
             self.batches_formed += 1;
         }
         let mut ctx = self.ctxs[si].take().expect("context just ensured");
@@ -766,7 +863,7 @@ impl ShardWorld<'_> {
         let size = self.sizes[rank];
         let fallback = self.sources[si].fallback_rtt[self.epoch];
 
-        if ctx.fill.is_none() {
+        if ctx.geom.fill.is_none() {
             // Total dead zone: no shell has a visible satellite. Ground
             // serve at the fallback RTT (tiered when enabled), no jitter
             // draw.
@@ -836,7 +933,7 @@ impl ShardWorld<'_> {
                 if cached.0 != ctx.gen {
                     *cached = (ctx.gen, Latency::ZERO, u32::MAX);
                     let shell = self.shell_of[g as usize] as usize;
-                    if let Some(sc) = ctx.shells[shell].as_ref() {
+                    if let Some(sc) = ctx.geom.shell(shell) {
                         if g == sc.overhead_slot {
                             *cached = (ctx.gen, sc.user_prop, 0);
                         } else {
@@ -861,12 +958,10 @@ impl ShardWorld<'_> {
                         Some((rtt, 0u32))
                     } else {
                         let shell = self.shell_of[g as usize] as usize;
-                        ctx.shells[shell].as_ref().and_then(|sc| {
-                            sc.neighbors
-                                .iter()
-                                .find(|&&(n, _)| n == g)
-                                .map(|&(_, probe)| (probe, 1))
-                        })
+                        ctx.geom
+                            .shell(shell)
+                            .and_then(|sc| sc.neighbor_probe(g))
+                            .map(|probe| (probe, 1))
                     };
                     if let Some((crtt, chops)) = cand {
                         match memo.bests[0] {
@@ -938,7 +1033,10 @@ impl ShardWorld<'_> {
                 // cycle lets it, and unless the plan already pins this
                 // object there (a pinned copy never needs a dynamic
                 // shadow).
-                let fill = ctx.fill.expect("non-dead-zone batch has a fill target");
+                let fill = ctx
+                    .geom
+                    .fill
+                    .expect("non-dead-zone batch has a fill target");
                 if self.duty.is_active(SatIndex(fill), t) && !self.pinned[rank].contains(&fill) {
                     self.dropped.clear();
                     if self
@@ -1186,6 +1284,7 @@ pub fn run_traffic_multishell(
     let horizon = cfg.start + cfg.epoch_step.mul(cfg.epochs as u64);
     let access = scenarios[0].network().access();
 
+    let geoms = GeomTable::new(&graphs, &shell_offsets, sources, coop);
     let scratch_pool = ScratchPool::default();
     let reports = par_map_indices(cfg.streams, |s| {
         // This stream's catalog shard: global ranks whose content id
@@ -1274,6 +1373,7 @@ pub fn run_traffic_multishell(
             shard_ids: &shard_ids,
             sizes: &sizes,
             catalog: &catalog,
+            geoms: &geoms,
             graphs: &graphs,
             shell_offsets: &shell_offsets,
             shell_of: &shell_of,

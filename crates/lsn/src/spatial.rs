@@ -253,9 +253,35 @@ impl SpatialIndex {
             let sin_a = (1.0 - cos_a * cos_a).max(0.0).sqrt();
             cos_a * cell.cos_rho + sin_a * cell.sin_rho
         };
+        Self::bound_from_cos(cell, gn, cos_t).max(0.0).sqrt() - BOUND_SLACK_KM
+    }
+
+    /// Squared distance lower bound for a member at central angle at
+    /// least `acos(cos_t)` from the query: `r_min` in the quadratic term,
+    /// and the end of `[r_min, r_max]` that minimizes the cross term.
+    #[inline]
+    fn bound_from_cos(cell: &Cell, gn: f64, cos_t: f64) -> f64 {
         let cross_r = if cos_t > 0.0 { cell.r_max } else { cell.r_min };
-        let d2 = gn * gn + cell.r_min * cell.r_min - 2.0 * gn * cross_r * cos_t;
-        d2.max(0.0).sqrt() - BOUND_SLACK_KM
+        gn * gn + cell.r_min * cell.r_min - 2.0 * gn * cross_r * cos_t
+    }
+
+    /// True when [`Self::cell_lower_bound`] exceeds `best_km` — the
+    /// pruning test. A cell outside the query's cone is first tried with
+    /// `sinα ≤ 1`, which only raises `cos(theta_min)` and so lowers the
+    /// bound, and needs no square root: when even that bound clears
+    /// `best_km` by a further slack (far more than the rounding of
+    /// either form), the exact bound does too. Only the cells near the
+    /// incumbent pay for the exact bound.
+    fn cell_pruned(cell: &Cell, gn: f64, gu: [f64; 3], best_km: f64) -> bool {
+        let cos_a = dot(gu, cell.unit).clamp(-1.0, 1.0);
+        if cos_a < cell.cos_rho {
+            let reach = best_km + 2.0 * BOUND_SLACK_KM;
+            let cos_t = cos_a * cell.cos_rho + cell.sin_rho;
+            if reach > 0.0 && Self::bound_from_cos(cell, gn, cos_t) > reach * reach {
+                return true;
+            }
+        }
+        Self::cell_lower_bound(cell, gn, gu) > best_km
     }
 
     /// The alive satellite nearest to `ground`, with the exact semantics
@@ -276,28 +302,27 @@ impl SpatialIndex {
         }
         let gu = [g[0] / gn, g[1] / gn, g[2] / gn];
 
-        // Seed the incumbent from the cell with the smallest lower bound
-        // (no sort: one min pass beats sorting the whole bound list), then
-        // sweep the rest, skipping any cell whose bound proves every member
-        // strictly farther than the incumbent — the slack makes the bound
-        // strict, so a skipped member cannot even tie. Scan order doesn't
-        // affect the answer: the `(distance, index)` comparison is a total
-        // order, so the surviving minimum is the linear scan's.
-        let bounds: Vec<f64> = self
-            .cells
-            .iter()
-            .map(|c| Self::cell_lower_bound(c, gn, gu))
-            .collect();
-        let seed = bounds
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, _)| i)
-            .expect("cells non-empty when gn > 0 and index non-empty");
+        // Seed the incumbent from the cell whose mean direction is closest
+        // to the query's (a dot product per cell, first such cell on
+        // ties), then sweep the rest, skipping any cell whose bound proves
+        // every member strictly farther than the incumbent — the slack
+        // makes the bound strict, so a skipped member cannot even tie.
+        // Scan order doesn't affect the answer: the `(distance, index)`
+        // comparison is a total order, so the surviving minimum is the
+        // linear scan's.
+        let mut seed = 0;
+        let mut seed_dot = f64::NEG_INFINITY;
+        for (i, cell) in self.cells.iter().enumerate() {
+            let d = dot(gu, cell.unit);
+            if d > seed_dot {
+                seed = i;
+                seed_dot = d;
+            }
+        }
 
         let mut best: Option<(SatIndex, Km)> = None;
-        let scan_cell = |cell_i: usize, best: &mut Option<(SatIndex, Km)>| {
-            for &m in self.cells[cell_i].members.iter() {
+        let scan_cell = |cell: &Cell, best: &mut Option<(SatIndex, Km)>| {
+            for &m in cell.members.iter() {
                 let d = positions[m as usize].distance(ground);
                 let better = match *best {
                     None => true,
@@ -308,18 +333,18 @@ impl SpatialIndex {
                 }
             }
         };
-        scan_cell(seed, &mut best);
+        scan_cell(&self.cells[seed], &mut best);
         let mut scanned = 1u64;
-        for (cell_i, &bound) in bounds.iter().enumerate() {
+        for (cell_i, cell) in self.cells.iter().enumerate() {
             if cell_i == seed {
                 continue;
             }
             if let Some((_, bd)) = best {
-                if bound > bd.0 {
+                if Self::cell_pruned(cell, gn, gu, bd.0) {
                     continue;
                 }
             }
-            scan_cell(cell_i, &mut best);
+            scan_cell(cell, &mut best);
             scanned += 1;
         }
         SPATIAL_CELLS_SCANNED.add(scanned);

@@ -37,6 +37,13 @@ pub struct HopBoundResult {
     pub ground_fallbacks: usize,
     /// Observed hop counts of satisfied requests.
     pub hop_histogram: Vec<u32>,
+    /// Every trial in order (epoch by epoch): the requesting city's
+    /// overhead satellite (`None` in a dead zone), its ground-fallback
+    /// RTT, and whether the fetch fell back to the ground. Runs with the
+    /// same bounds, trial count, epochs and seed draw the same city,
+    /// placement and jitter for trial `i`, so two runs under different
+    /// fault schedules pair up trial by trial.
+    pub trials: Vec<(Option<SatIndex>, Latency, bool)>,
 }
 
 /// Result of one duty-cycle sweep point.
@@ -136,14 +143,18 @@ pub fn hop_bound_experiment(
     }
     // One task per (bound, epoch); RNG stream "fig7/{max_hops}/{epoch}" is
     // self-contained, so any thread interleaving reproduces the sequential
-    // sample stream.
+    // sample stream. It draws exactly two values per trial (city, plan
+    // seed); the scheduler jitter, drawn only when a satellite can serve,
+    // comes from a stream of the trial's own. A fault that changes one
+    // trial's path therefore never shifts another trial's draws.
     let per_task = par_map(&tasks, |_, &(max_hops, epoch)| {
         let snap = &snapshots[epoch];
         let mut samples: Vec<f64> = Vec::new();
         let mut fallbacks = 0usize;
         let mut hops_seen: Vec<u32> = Vec::new();
+        let mut trials = Vec::new();
         let mut rng = DetRng::new(seed, &format!("fig7/{max_hops}/{epoch}"));
-        for _ in 0..trials_per_bound.div_ceil(epochs) {
+        for trial in 0..trials_per_bound.div_ceil(epochs) {
             let city = *rng.choose(&pool).expect("pool non-empty");
             // Per-trial plan seed drawn from the task stream, so each trial
             // samples a fresh covering placement deterministically.
@@ -168,10 +179,16 @@ pub fn hop_bound_experiment(
                 .ground_fallback(fallback)
                 .graceful(false);
             FIG7_TRIALS.incr();
-            let Some(out) = req
-                .execute(snap.graph(), net.access(), &caches, Some(&mut rng))
-                .outcome
-            else {
+            let mut jitter = DetRng::new(seed, &format!("fig7/{max_hops}/{epoch}/jitter/{trial}"));
+            let overhead = snap.overhead_sat(city.position()).map(|(sat, _)| sat);
+            let outcome = req
+                .execute(snap.graph(), net.access(), &caches, Some(&mut jitter))
+                .outcome;
+            let grounded = outcome
+                .as_ref()
+                .is_none_or(|o| o.source == RetrievalSource::Ground);
+            trials.push((overhead, fallback, grounded));
+            let Some(out) = outcome else {
                 // Dead zone under the fault schedule: no satellite serves
                 // the city at all, so the request rides the ground path.
                 fallbacks += 1;
@@ -189,7 +206,7 @@ pub fn hop_bound_experiment(
                 }
             }
         }
-        (samples, fallbacks, hops_seen)
+        (samples, fallbacks, hops_seen, trials)
     });
 
     // Reassemble per bound in task order (epoch-minor), matching the
@@ -199,18 +216,21 @@ pub fn hop_bound_experiment(
         let mut latencies = Percentiles::new();
         let mut fallbacks = 0usize;
         let mut hops_seen = Vec::new();
-        for (samples, f, hops) in &per_task[b * epochs..(b + 1) * epochs] {
+        let mut trials = Vec::new();
+        for (samples, f, hops, t) in &per_task[b * epochs..(b + 1) * epochs] {
             for &s in samples {
                 latencies.add(s);
             }
             fallbacks += f;
             hops_seen.extend_from_slice(hops);
+            trials.extend_from_slice(t);
         }
         results.push(HopBoundResult {
             max_hops,
             latencies,
             ground_fallbacks: fallbacks,
             hop_histogram: hops_seen,
+            trials,
         });
     }
     results

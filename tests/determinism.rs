@@ -760,29 +760,26 @@ fn churning_shell_scenarios(
         .collect()
 }
 
-/// Fingerprints of `runs` consecutive `run_traffic_multishell` calls on
-/// one set of churning scenarios: 2 shells × 24 epochs, more graphs than
-/// the process-wide snapshot pool holds, so a re-run can only reuse
-/// graphs through the timeline each scenario kept from its last freeze.
-/// Every counter, the decision digest, the per-shell rows and the full
-/// quantile ladder as raw bits.
-fn churn_rerun_fingerprints(runs: usize) -> Vec<String> {
+/// The churn legs' workload: five sources over 24 × 5 s epochs under
+/// placement `spec`.
+fn churn_workload(
+    spec: &str,
+) -> (
+    spacecdn_suite::prelude::TrafficConfig,
+    Vec<spacecdn_suite::prelude::TrafficSource>,
+) {
     use spacecdn_suite::geo::SimDuration;
-    use spacecdn_suite::prelude::{
-        run_traffic_multishell, Geodetic, Latency, PlacementSpec, TrafficConfig, TrafficSource,
-    };
+    use spacecdn_suite::prelude::{Geodetic, Latency, PlacementSpec, TrafficConfig, TrafficSource};
     let epochs = 24;
-    let step = SimDuration::from_secs(5);
-    let mut scenarios = churning_shell_scenarios(epochs, step);
     let cfg = TrafficConfig {
         requests: 6_000,
         streams: 5,
         epochs,
-        epoch_step: step,
+        epoch_step: SimDuration::from_secs(5),
         catalog_size: 600,
         cache_bytes_per_sat: 64 << 20,
         policy: spacecdn_suite::prelude::PolicyKind::LruTtl,
-        placement: Some(PlacementSpec::parse("perplane-2:budget-600:coop").expect("valid spec")),
+        placement: Some(PlacementSpec::parse(spec).expect("valid spec")),
         ..TrafficConfig::default()
     };
     let sources: Vec<TrafficSource> = [
@@ -799,35 +796,54 @@ fn churn_rerun_fingerprints(runs: usize) -> Vec<String> {
         fallback_rtt: vec![Latency::from_ms(140.0); cfg.epochs],
     })
     .collect();
+    (cfg, sources)
+}
+
+/// Every counter of a churn-leg report, the decision digest, the
+/// per-shell rows and the full quantile ladder as raw bits.
+fn churn_report_fingerprint(r: &mut spacecdn_suite::prelude::TrafficReport) -> String {
+    let mut out = format!(
+        "req={};oh={};isl={};origin={};dead={};ins={};ev={};ttl={};inv={};pin={};nb={};ge={};gr={};go={};digest={:#018x};served={};ob={};hops={:?};shells={:?};",
+        r.requests,
+        r.overhead_hits,
+        r.isl_hits,
+        r.origin_fetches,
+        r.dead_zones,
+        r.inserts,
+        r.evictions,
+        r.ttl_expiries,
+        r.invalidations,
+        r.pinned_hits,
+        r.neighbor_hits,
+        r.ground_edge_hits,
+        r.ground_regional_hits,
+        r.ground_origin_hits,
+        r.decision_digest,
+        r.served_bytes,
+        r.origin_bytes,
+        r.hop_histogram,
+        r.per_shell,
+    );
+    for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
+        out.push_str(&format!(
+            "q{q}={:?};",
+            r.latencies.quantile(q).map(f64::to_bits)
+        ));
+    }
+    out
+}
+
+/// Fingerprints of `runs` consecutive `run_traffic_multishell` calls on
+/// one set of churning scenarios: 2 shells × 24 epochs, more graphs than
+/// the process-wide snapshot pool holds, so a re-run can only reuse
+/// graphs through the timeline each scenario kept from its last freeze.
+fn churn_rerun_fingerprints(runs: usize) -> Vec<String> {
+    use spacecdn_suite::prelude::run_traffic_multishell;
+    let (cfg, sources) = churn_workload("perplane-2:budget-600:coop");
+    let mut scenarios = churning_shell_scenarios(cfg.epochs, cfg.epoch_step);
     (0..runs)
         .map(|_| {
-            let mut r = run_traffic_multishell(&mut scenarios, &sources, &cfg);
-            let mut out = format!(
-                "req={};oh={};isl={};origin={};dead={};ins={};ev={};ttl={};inv={};pin={};nb={};digest={:#018x};served={};ob={};hops={:?};shells={:?};",
-                r.requests,
-                r.overhead_hits,
-                r.isl_hits,
-                r.origin_fetches,
-                r.dead_zones,
-                r.inserts,
-                r.evictions,
-                r.ttl_expiries,
-                r.invalidations,
-                r.pinned_hits,
-                r.neighbor_hits,
-                r.decision_digest,
-                r.served_bytes,
-                r.origin_bytes,
-                r.hop_histogram,
-                r.per_shell,
-            );
-            for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-                out.push_str(&format!(
-                    "q{q}={:?};",
-                    r.latencies.quantile(q).map(f64::to_bits)
-                ));
-            }
-            out
+            churn_report_fingerprint(&mut run_traffic_multishell(&mut scenarios, &sources, &cfg))
         })
         .collect()
 }
@@ -860,5 +876,62 @@ fn churning_rerun_identical_to_fresh_scenarios_at_any_thread_count() {
         }
     }
     set_snapshot_pool_override(None);
+    clear_graph_pool();
+}
+
+#[test]
+fn shared_geometry_table_identical_at_any_thread_count() {
+    use spacecdn_suite::prelude::run_traffic_multishell;
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    // Every stream of a call reads one lazily filled (source, epoch)
+    // geometry table; whichever stream fills a cell first, the report,
+    // the stable metrics and the number of cells built must not depend
+    // on the thread count.
+    let (cfg, sources) = churn_workload("perplane-2:budget-600:coop:tiers");
+    spacecdn_suite::telemetry::set_metrics_override(Some(true));
+    let run_at = |threads: usize| {
+        with_thread_count(threads, || {
+            clear_graph_pool();
+            let mut scenarios = churning_shell_scenarios(cfg.epochs, cfg.epoch_step);
+            spacecdn_suite::telemetry::reset();
+            let mut r = run_traffic_multishell(&mut scenarios, &sources, &cfg);
+            let metrics = spacecdn_suite::telemetry::snapshot();
+            (
+                churn_report_fingerprint(&mut r),
+                metrics.stable_fingerprint(),
+                metrics,
+            )
+        })
+    };
+    let (report, stable, metrics) = run_at(1);
+    let counter = |name: &str| {
+        metrics
+            .counter(name)
+            .unwrap_or_else(|| panic!("{name} missing:\n{stable}"))
+    };
+    let builds = counter("core.traffic.batch.geometry_builds");
+    let formed = counter("core.traffic.batch.formed");
+    let queries = counter("lsn.spatial.queries");
+    let shells = 2;
+    assert!(
+        builds <= formed.min((sources.len() * cfg.epochs) as u64),
+        "{builds} geometry builds for {formed} contexts over {} pairs",
+        sources.len() * cfg.epochs
+    );
+    assert!(
+        builds < formed,
+        "{} streams shared no geometry: {builds} builds for {formed} contexts",
+        cfg.streams
+    );
+    assert!(
+        queries <= shells * builds,
+        "{queries} nearest-satellite queries for {builds} geometry builds"
+    );
+    for threads in [2, 5, 8] {
+        let (r, st, _) = run_at(threads);
+        assert_eq!(report, r, "report diverged at {threads} threads");
+        assert_eq!(stable, st, "stable metrics diverged at {threads} threads");
+    }
+    spacecdn_suite::telemetry::set_metrics_override(None);
     clear_graph_pool();
 }
